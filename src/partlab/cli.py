@@ -157,28 +157,35 @@ def cmd_verify_comb(args) -> int:
 
 
 def _merge_campaign(parts: list[WitnessReport], strategy) -> WitnessReport:
-    """Combine chunked campaign reports into one, keeping the worst map."""
-    worst = max(parts, key=lambda r: r.bad_pair_count)
-    out = WitnessReport(
+    """Combine chunk reports, given in chunk order, into the report of one run."""
+    worst = max(parts, key=lambda r: r.bad_pair_count)  # first maximum, as in one run
+    shapes, seen = [], set()
+    for r in parts:
+        for shape in r.details["counterexample_shapes"]:
+            key = json.dumps(shape)  # resumed chunks hold lists where fresh ones hold tuples
+            if key not in seen:
+                seen.add(key)
+                shapes.append(shape)
+    details = dict(worst.details)
+    details.update(
+        tested=sum(r.details["tested"] for r in parts),
+        failures=sum(r.details["failures"] for r in parts),
+        all_witnessed=all(r.details["all_witnessed"] for r in parts),
+        pigeonhole_ok=all(r.details["pigeonhole_ok"] for r in parts),
+        counterexample_shapes=shapes,
+    )
+    return WitnessReport(
         params=worst.params,
         strategy=strategy.label(),
         seed=strategy.seed,
-        witness=None,
+        witness=worst.witness,
         bad_pair_count=worst.bad_pair_count,
         candidate_count=worst.candidate_count,
         census=worst.census,
         ratio=max(r.ratio for r in parts),
         elapsed_ms=sum(r.elapsed_ms for r in parts),
-        details=dict(worst.details),
+        details=details,
     )
-    out.details["tested"] = sum(r.details["tested"] for r in parts)
-    out.details["failures"] = sum(r.details["failures"] for r in parts)
-    out.details["all_witnessed"] = all(r.details["all_witnessed"] for r in parts)
-    shapes = []
-    for r in parts:
-        shapes.extend(r.details.get("counterexample_shapes", []))
-    out.details["counterexample_shapes"] = shapes
-    return out
 
 
 def _chunk_worker(task):
@@ -196,56 +203,61 @@ def _chunked_verify_comb(args, strategy: Sampled) -> WitnessReport:
         tasks.append((args.k, args.m, args.N, size, strategy.seed, pos))
         pos += size
         remaining -= size
-    state_path = args.out + ".state" if args.out else None
-    done: dict[str, dict] = {}
-    if state_path and os.path.exists(state_path):
-        with open(state_path) as fh:
-            done = json.load(fh)
-    parts = []
+    state_path, state = _open_state(args)
+    done = state["done"]
     pending = [t for t in tasks if str(t[5]) not in done]
-    for t in tasks:
-        if str(t[5]) in done:
-            parts.append(_report_from_state(done[str(t[5])], args))
+    fresh: dict[int, WitnessReport] = {}
     if args.jobs > 1 and len(pending) > 1:
         import concurrent.futures
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
             for t, rep in zip(pending, pool.map(_chunk_worker, pending)):
-                parts.append(rep)
-                _checkpoint(state_path, done, t[5], rep)
+                fresh[t[5]] = rep
+                _checkpoint(state_path, state, t[5], rep)
     else:
         for t in pending:
             rep = _chunk_worker(t)
-            parts.append(rep)
-            _checkpoint(state_path, done, t[5], rep)
+            fresh[t[5]] = rep
+            _checkpoint(state_path, state, t[5], rep)
+    parts = [
+        fresh[t[5]] if t[5] in fresh else WitnessReport.from_json_dict(done[str(t[5])])
+        for t in tasks
+    ]
     return _merge_campaign(parts, strategy)
 
 
-def _checkpoint(state_path: Optional[str], done: dict, start: int, rep: WitnessReport) -> None:
+def _open_state(args) -> tuple[Optional[str], dict]:
+    """The --out checkpoint file and its state, bound to this run's configuration.
+
+    A state file recorded for another configuration is a usage error, so a
+    report is never assembled from another run's results.
+    """
+    config = {k: v for k, v in _config_dict(args).items() if k not in ("out", "format", "jobs")}
+    config["checkpoint_every"] = CHECKPOINT_EVERY
+    state = {"config": config, "done": {}}
+    if not args.out:
+        return None, state
+    state_path = args.out + ".state"
+    if os.path.exists(state_path):
+        with open(state_path) as fh:
+            saved = json.load(fh)
+        if not isinstance(saved, dict) or saved.get("config") != config or "done" not in saved:
+            raise DomainError(
+                f"{state_path} is a checkpoint of another configuration;"
+                " remove it or choose another --out"
+            )
+        state = saved
+    return state_path, state
+
+
+def _checkpoint(state_path: Optional[str], state: dict, key: int, rep: WitnessReport) -> None:
     if state_path is None:
         return
-    done[str(start)] = rep.to_json_dict()
+    state["done"][str(key)] = rep.to_json_dict()
     tmp = state_path + ".tmp"
     with open(tmp, "w") as fh:
-        json.dump(done, fh)
+        json.dump(state, fh)
     os.replace(tmp, state_path)
-
-
-def _report_from_state(d: dict, args) -> WitnessReport:
-    from fractions import Fraction
-
-    return WitnessReport(
-        params=d["params"],
-        strategy=d["strategy"],
-        seed=d["seed"],
-        witness=None,
-        bad_pair_count=int(d["bad_pair_count"]),
-        candidate_count=int(d["candidate_count"]),
-        census=d["census"],
-        ratio=Fraction(d["ratio"]) if d["ratio"] is not None else None,
-        elapsed_ms=d["elapsed_ms"],
-        details=d["details"],
-    )
 
 
 def cmd_verify_tree(args) -> int:
@@ -280,20 +292,17 @@ def cmd_bad_pairs(args) -> int:
 
 def cmd_find_threshold(args) -> int:
     search = Sampled(args.samples, args.seed)
-    state_path = args.out + ".state" if args.out else None
-    done: dict[str, dict] = {}
-    if state_path and os.path.exists(state_path):
-        with open(state_path) as fh:
-            done = json.load(fh)
+    state_path, state = _open_state(args)
+    done = state["done"]
     found = None
     reports = []
     for N in range(1, args.n_max + 1):
         if str(N) in done:
-            rep = _report_from_state(done[str(N)], args)
+            rep = WitnessReport.from_json_dict(done[str(N)])
         else:
             rep = verify_comb(args.k, args.m, N, search)
             rep.details["empirical"] = True
-            _checkpoint(state_path, done, N, rep)
+            _checkpoint(state_path, state, N, rep)
         reports.append(rep)
         if rep.details["all_witnessed"] and rep.ratio < 1:
             found = N

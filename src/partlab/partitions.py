@@ -33,7 +33,6 @@ __all__ = [
     "rgs_is_valid",
     "rgs_leq",
     "rgs_meet",
-    "rgs_restrict",
     "relabel_canonical",
 ]
 
@@ -80,11 +79,6 @@ def rgs_leq(s: tuple[int, ...], t: tuple[int, ...]) -> bool:
 def rgs_meet(t1: tuple[int, ...], t2: tuple[int, ...]) -> tuple[int, ...]:
     """Common refinement: i ~ j iff i t1 j and i t2 j, canonically labeled."""
     return relabel_canonical(zip(t1, t2))
-
-
-def rgs_restrict(rgs: tuple[int, ...], length: int) -> tuple[int, ...]:
-    """Restriction to {0,...,length-1}; a prefix of an rgs is an rgs."""
-    return rgs[:length]
 
 
 @dataclass(frozen=True)

@@ -57,6 +57,22 @@ class WitnessReport:
             "details": _jsonable(self.details),
         }
 
+    @classmethod
+    def from_json_dict(cls, d: dict[str, Any]) -> "WitnessReport":
+        """The report to_json_dict serialized; round trips to the same dict."""
+        return cls(
+            params=d["params"],
+            strategy=d["strategy"],
+            seed=d["seed"],
+            witness=SetPartition.from_text(d["witness"]) if d["witness"] is not None else None,
+            bad_pair_count=int(d["bad_pair_count"]),
+            candidate_count=int(d["candidate_count"]),
+            census=d["census"],
+            ratio=Fraction(d["ratio"]) if d["ratio"] is not None else None,
+            elapsed_ms=d["elapsed_ms"],
+            details=d["details"],
+        )
+
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_json_dict(), indent=indent, sort_keys=True)
 

@@ -6,8 +6,15 @@ e(t) <= t or e(t) !<= s.  The engines do exhaustive, sampled, and greedy
 adversarial campaigns, census bad pairs exactly, and run single fusion
 steps of the canonization construction.
 
-Every returned witness is re-validated by an independent brute-force
-scan that shares no enumeration path with the search.
+The comb campaigns evaluate the lemma condition through one bitmask
+kernel: per map, each relevant t yields the mask of candidates that e(t)
+invalidates, and the witness, the bad-pair census and the counterexample
+shape are all read off those masks.
+
+Every returned witness is re-validated by an independent scan that
+shares no enumeration path with the search: the down-set of the witness
+is found by testing every t in Q(n), once per witness, and each of its
+members is checked against the lemma condition.
 """
 
 from __future__ import annotations
@@ -181,6 +188,7 @@ class _CombContext:
     candidates: tuple[tuple[int, ...], ...]
     coars: tuple[tuple[int, ...], ...]  # per candidate: indices of its coarsenings
     relevant: tuple[int, ...]  # indices of t coarsening at least one candidate
+    below: dict[int, int]  # per relevant v: bitmask of the candidates s with v <= s
 
 
 @lru_cache(maxsize=16)
@@ -192,72 +200,82 @@ def _comb_context(k: int, m: int, N: int) -> _CombContext:
     index = _space_index(n)
     candidates = tuple(iter_equipartition_rgs(k, N, m))
     coars = []
-    relevant: set[int] = set()
-    for s in candidates:
+    below: dict[int, int] = {}
+    for ci, s in enumerate(candidates):
         idxs = tuple(index[t.rgs] for t in coarsenings_of(SetPartition(s)))
         coars.append(idxs)
-        relevant.update(idxs)
-    return _CombContext(k, m, N, space, index, candidates, tuple(coars), tuple(sorted(relevant)))
+        for ti in idxs:
+            below[ti] = below.get(ti, 0) | 1 << ci
+    relevant = tuple(sorted(below))
+    below = {ti: below[ti] for ti in relevant}
+    return _CombContext(k, m, N, space, index, candidates, tuple(coars), relevant, below)
 
 
-def _scan_witness(ctx: _CombContext, values: tuple[int, ...]) -> Optional[tuple[int, ...]]:
-    """Lexicographically least candidate passing the lemma condition, or None."""
+def _kill_masks(ctx: _CombContext, values: tuple[int, ...]) -> dict[int, int]:
+    """The lemma kernel: per relevant t, the candidates s that e(t) invalidates.
+
+    (s, t) is a bad pair when t <= s, e(t) <= s and e(t) !<= t, so the
+    mask is below[t] & below[e(t)] unless e(t) <= t.  Only nonzero masks
+    are kept; a candidate is a witness iff no mask has its bit.
+    """
     space = ctx.space
-    for s, coar in zip(ctx.candidates, ctx.coars):
-        ok = True
-        for ti in coar:
-            v = space[values[ti]]
-            if rgs_leq(v, space[ti]):
-                continue
-            if rgs_leq(v, s):
-                ok = False
-                break
-        if ok:
-            return s
-    return None
+    below = ctx.below
+    kills = {}
+    for ti, above_t in below.items():
+        vi = values[ti]
+        mask = above_t & below.get(vi, 0)
+        if mask and not rgs_leq(space[vi], space[ti]):
+            kills[ti] = mask
+    return kills
 
 
-def _census(ctx: _CombContext, values: tuple[int, ...]) -> tuple[int, dict[tuple[int, ...], int]]:
-    """Exact bad-pair count and per-candidate breakdown."""
-    space = ctx.space
-    total = 0
-    per: dict[tuple[int, ...], int] = {}
-    for s, coar in zip(ctx.candidates, ctx.coars):
-        bad = 0
-        for ti in coar:
-            v = space[values[ti]]
-            if rgs_leq(v, s) and not rgs_leq(v, space[ti]):
-                bad += 1
+def _witness(ctx: _CombContext, kills: dict[int, int]) -> Optional[tuple[int, ...]]:
+    """Lexicographically least candidate no kill mask hits, or None."""
+    killed = 0
+    for mask in kills.values():
+        killed |= mask
+    free = ~killed & ((1 << len(ctx.candidates)) - 1)
+    return ctx.candidates[(free & -free).bit_length() - 1] if free else None
+
+
+def _bad_count(kills: dict[int, int]) -> int:
+    """Exact number of bad pairs (s, t)."""
+    return sum(mask.bit_count() for mask in kills.values())
+
+
+def _census(ctx: _CombContext, kills: dict[int, int]) -> dict[tuple[int, ...], int]:
+    """Bad pairs per candidate, for the candidates that have any."""
+    per = {}
+    for ci, s in enumerate(ctx.candidates):
+        bad = sum(mask >> ci & 1 for mask in kills.values())
         if bad:
             per[s] = bad
-            total += bad
-    return total, per
+    return per
 
 
-def _blocking_shape(ctx: _CombContext, values: tuple[int, ...]) -> frozenset:
+def _blocking_shape(ctx: _CombContext, values: tuple[int, ...], kills: dict[int, int]) -> frozenset:
     """The entries of e that invalidate candidates: the failing map's shape."""
     space = ctx.space
-    shape = set()
-    for s, coar in zip(ctx.candidates, ctx.coars):
-        for ti in coar:
-            v = space[values[ti]]
-            if rgs_leq(v, s) and not rgs_leq(v, space[ti]):
-                shape.add((space[ti], v))
-    return frozenset(shape)
+    return frozenset({(space[ti], space[values[ti]]) for ti in kills})
+
+
+@lru_cache(maxsize=1024)
+def _down_set(n: int, s: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Every t <= s, found by testing each t in Q(n) from scratch."""
+    return tuple(t for t in iter_rgs(n) if rgs_leq(t, s))
 
 
 def witness_is_valid(e: EMapTable, s: SetPartition, m: int) -> bool:
-    """Independent re-validation of a witness by scanning all of Q(n).
+    """Independent re-validation of a witness over its down-set.
 
     Deliberately avoids the candidate/coarsening tables used by the
-    search: every t in Q(n) is tested from scratch.
+    search: the down-set of s is found by testing every t in Q(n), once
+    per s, and the lemma condition is checked pair by pair.
     """
     rgs = s.rgs
     if any(rgs[i] != i for i in range(min(m, len(rgs)))):
         return False
-    for t in iter_rgs(e.n):
-        if not rgs_leq(t, rgs):
-            continue
+    for t in _down_set(e.n, rgs):
         v = e.apply_rgs(t)
         if not rgs_leq(v, t) and rgs_leq(v, rgs):
             return False
@@ -293,8 +311,10 @@ def bad_pairs(e: EMapTable, k: int, m: int, N: int) -> WitnessReport:
     ctx = _comb_context(k, m, N)
     if e.n != k * N:
         raise DomainError(f"map is over {e.n} points, expected {k * N}")
-    total, per = _census(ctx, e.values)
-    witness = _scan_witness(ctx, e.values)
+    kills = _kill_masks(ctx, e.values)
+    total = _bad_count(kills)
+    per = _census(ctx, kills)
+    witness = _witness(ctx, kills)
     pair_count = len(ctx.candidates) * count_partitions(k)
     return WitnessReport(
         params={"k": k, "m": m, "N": N},
@@ -330,30 +350,20 @@ def _greedy_scores(k: int, m: int, N: int) -> dict[int, list[tuple[int, int]]]:
     """For each relevant t: value indices with maximal invalidation score."""
     ctx = _comb_context(k, m, N)
     space = ctx.space
-    # candidate bitmask of {s : t <= s} per relevant t
-    above: dict[int, int] = {ti: 0 for ti in ctx.relevant}
-    for ci, coar in enumerate(ctx.coars):
-        for ti in coar:
-            above[ti] |= 1 << ci
     best: dict[int, list[tuple[int, int]]] = {}
-    for ti in ctx.relevant:
+    for ti, above_t in ctx.below.items():
         t = space[ti]
         scored = []
         top = 0
-        # score > 0 needs v <= some candidate, so v is relevant: same output
-        for vi in ctx.relevant:
-            v = space[vi]
-            if rgs_leq(v, t):
-                continue  # e(t) <= t can never invalidate
-            mask = 0
-            for ci, s in enumerate(ctx.candidates):
-                if above[ti] >> ci & 1 and rgs_leq(v, s):
-                    mask |= 1 << ci
-            score = mask.bit_count()
+        # score > 0 needs v <= some candidate, so v is relevant
+        for vi, below_v in ctx.below.items():
+            score = (above_t & below_v).bit_count()
+            if score == 0 or score < top or rgs_leq(space[vi], t):
+                continue  # not maximal, or e(t) <= t, which never invalidates
             if score > top:
                 top = score
                 scored = [(score, vi)]
-            elif score == top and score > 0:
+            else:
                 scored.append((score, vi))
         best[ti] = scored  # empty when t invalidates nothing
     return best
@@ -430,18 +440,17 @@ def verify_comb(k: int, m: int, N: int, strategy: Strategy) -> WitnessReport:
     failures = 0
     shapes: list[frozenset] = []
     worst_bad = -1
-    worst_values: Optional[tuple[int, ...]] = None
+    worst_kills: dict[int, int] = {}
     worst_witness: Optional[tuple[int, ...]] = None
     pigeonhole_ok = True
-    max_ratio = Fraction(0)
     for values in stream:
         tested += 1
-        witness = _scan_witness(ctx, values)
-        bad, _ = _census(ctx, values)
-        max_ratio = max(max_ratio, Fraction(bad, n_cands))
+        kills = _kill_masks(ctx, values)
+        witness = _witness(ctx, kills)
+        bad = _bad_count(kills)
         if witness is None:
             failures += 1
-            shape = _blocking_shape(ctx, values)
+            shape = _blocking_shape(ctx, values, kills)
             if shape not in shapes:
                 shapes.append(shape)
             if bad < n_cands:
@@ -452,10 +461,10 @@ def verify_comb(k: int, m: int, N: int, strategy: Strategy) -> WitnessReport:
                 raise RuntimeError("witness failed independent re-validation")
         if bad > worst_bad:
             worst_bad = bad
-            worst_values = values
+            worst_kills = kills
             worst_witness = witness
 
-    _, worst_census = _census(ctx, worst_values) if worst_values is not None else (0, {})
+    worst_census = _census(ctx, worst_kills)
     return WitnessReport(
         params={"k": k, "m": m, "N": N},
         strategy=strategy.label(),
@@ -464,7 +473,7 @@ def verify_comb(k: int, m: int, N: int, strategy: Strategy) -> WitnessReport:
         bad_pair_count=max(worst_bad, 0),
         candidate_count=n_cands,
         census={",".join(map(str, s)): b for s, b in worst_census.items()},
-        ratio=max_ratio,
+        ratio=Fraction(max(worst_bad, 0), n_cands),
         elapsed_ms=(time.perf_counter() - start) * 1000.0,
         details={
             "tested": tested,

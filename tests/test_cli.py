@@ -139,7 +139,8 @@ class TestThresholdAndCheckpoint:
         assert doc["threshold"] == 2
         assert doc["empirical"] is True
         state = json.loads((tmp_path / "thr.json.state").read_text())
-        assert set(state) == {"1", "2"}
+        assert set(state["done"]) == {"1", "2"}
+        assert state["config"]["k"] == 2
         # a resumed run reuses the recorded verdicts and agrees
         assert run_cli(*args, capsys=capsys)[0] == 0
         assert json.loads(out_path.read_text())["threshold"] == 2
@@ -155,7 +156,105 @@ class TestThresholdAndCheckpoint:
         doc = json.loads(out_path.read_text())
         assert doc["report"]["details"]["tested"] == 25000
         state = json.loads((tmp_path / "camp.json.state").read_text())
-        assert set(state) == {"0", "10000", "20000"}
+        assert set(state["done"]) == {"0", "10000", "20000"}
+
+
+def _campaign_report(tmp_path, name, kmn, strategy, *extra):
+    """Exit code and report (minus elapsed_ms) of a verify-comb run written to --out."""
+    k, m, N = kmn
+    out_path = tmp_path / name
+    code = main([
+        "verify-comb", "--k", str(k), "--m", str(m), "--N", str(N),
+        "--strategy", strategy, "--out", str(out_path), *extra,
+    ])
+    report = json.loads(out_path.read_text())["report"]
+    report.pop("elapsed_ms")
+    return code, report
+
+
+class TestCampaignRoundTrip:
+    # witnessed, failing, and one whose worst bad-pair count ties across chunks
+    # (chunks 0 and 14, with different witnesses), so the chunk order matters
+    @pytest.mark.parametrize("kmn,seed", [((3, 2, 2), 5), ((2, 2, 1), 5), ((2, 2, 2), 1)])
+    def test_chunked_parallel_and_resumed_runs_match_single_run(
+        self, tmp_path, monkeypatch, kmn, seed
+    ):
+        strategy = f"sampled:40:{seed}"
+        single = _campaign_report(tmp_path, "single.json", kmn, strategy)
+        monkeypatch.setattr("partlab.cli.CHECKPOINT_EVERY", 7)
+        runs = {
+            "chunked": _campaign_report(tmp_path, "chunked.json", kmn, strategy, "--jobs", "1"),
+            "parallel": _campaign_report(tmp_path, "parallel.json", kmn, strategy, "--jobs", "2"),
+        }
+        # drop two chunks from a finished run's state, then resume it
+        _campaign_report(tmp_path, "resumed.json", kmn, strategy)
+        state_path = tmp_path / "resumed.json.state"
+        state = json.loads(state_path.read_text())
+        assert set(state["done"]) == {"0", "7", "14", "21", "28", "35"}
+        del state["done"]["0"], state["done"]["28"]
+        state_path.write_text(json.dumps(state))
+        runs["resumed"] = _campaign_report(tmp_path, "resumed.json", kmn, strategy)
+        runs["fully resumed"] = _campaign_report(tmp_path, "resumed.json", kmn, strategy)
+        for name, run in runs.items():
+            assert run == single, name
+        code, report = single
+        details = report["details"]
+        assert code == (0 if details["all_witnessed"] else 1)
+        assert details["tested"] == 40
+        if details["all_witnessed"]:
+            assert report["witness"] is not None
+        else:
+            assert details["counterexample_shapes"] == [[[[0, 0], [0, 1]]]]
+
+    def test_merge_takes_pigeonhole_over_every_chunk(self):
+        from partlab.cli import _merge_campaign
+        from partlab.witness import Sampled, verify_comb
+
+        worst = verify_comb(2, 2, 1, Sampled(5, seed=1))
+        other = verify_comb(2, 2, 1, Sampled(5, seed=1, start=5))
+        other.details["pigeonhole_ok"] = False
+        assert worst.bad_pair_count >= other.bad_pair_count
+        merged = _merge_campaign([worst, other], Sampled(10, seed=1))
+        assert merged.details["pigeonhole_ok"] is False
+
+    def test_state_of_another_configuration_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("partlab.cli.CHECKPOINT_EVERY", 7)
+        _campaign_report(tmp_path, "camp.json", (2, 2, 2), "sampled:20:1")
+        (tmp_path / "camp.json").unlink()
+        for strategy in ("sampled:20:2", "sampled:21:1"):
+            code = main([
+                "verify-comb", "--k", "2", "--m", "2", "--N", "2",
+                "--strategy", strategy, "--out", str(tmp_path / "camp.json"),
+            ])
+            assert code == 2
+            assert not (tmp_path / "camp.json").exists()
+        assert "another configuration" in capsys.readouterr().err
+        # the chunk size is part of the configuration too
+        monkeypatch.setattr("partlab.cli.CHECKPOINT_EVERY", 6)
+        code = main([
+            "verify-comb", "--k", "2", "--m", "2", "--N", "2",
+            "--strategy", "sampled:20:1", "--out", str(tmp_path / "camp.json"),
+        ])
+        assert code == 2
+
+    def test_threshold_state_of_another_k_is_usage_error(self, tmp_path, capsys):
+        out_path = tmp_path / "thr.json"
+        base = (
+            "find-threshold", "--m", "2", "--samples", "50", "--seed", "1",
+            "--out", str(out_path),
+        )
+        assert run_cli(*base, "--k", "2", capsys=capsys)[0] == 0
+        assert run_cli(*base, "--k", "3", capsys=capsys)[0] == 2
+        assert json.loads(out_path.read_text())["config"]["k"] == 2
+
+    def test_state_without_config_is_usage_error(self, tmp_path, capsys):
+        out_path = tmp_path / "thr.json"
+        (tmp_path / "thr.json.state").write_text(json.dumps({"1": {}}))
+        code, _ = run_cli(
+            "find-threshold", "--k", "2", "--m", "2", "--samples", "50",
+            "--out", str(out_path), capsys=capsys,
+        )
+        assert code == 2
 
 
 class TestConsoleScript:

@@ -2,12 +2,15 @@ import random
 
 import pytest
 
+from partlab import witness as witness_module
 from partlab.errors import DomainError, ThresholdError
 from partlab.partitions import (
     SetPartition,
+    coarsenings_of,
     enumerate_partitions,
     is_coarsening,
     meet_refine,
+    rgs_leq,
 )
 from partlab.prefixes import (
     PartitionPrefix,
@@ -28,6 +31,15 @@ from partlab.witness import (
     partition_space,
     verify_comb,
     witness_is_valid,
+    _adversarial_values,
+    _bad_count,
+    _blocking_shape,
+    _census,
+    _comb_context,
+    _down_set,
+    _greedy_scores,
+    _kill_masks,
+    _witness,
 )
 
 
@@ -149,6 +161,142 @@ class TestVerifyComb:
         b = verify_comb(2, 2, 2, Adversarial(1, seed=99))
         assert a.bad_pair_count == b.bad_pair_count
         assert a.ratio == b.ratio
+
+
+# -- the lemma condition by nested rgs_leq loops: an oracle for the kernel --
+
+
+def oracle_witness(ctx, values):
+    space = ctx.space
+    for s, coar in zip(ctx.candidates, ctx.coars):
+        if all(
+            rgs_leq(space[values[ti]], space[ti]) or not rgs_leq(space[values[ti]], s)
+            for ti in coar
+        ):
+            return s
+    return None
+
+
+def oracle_census(ctx, values):
+    space = ctx.space
+    per = {}
+    for s, coar in zip(ctx.candidates, ctx.coars):
+        bad = sum(
+            1
+            for ti in coar
+            if rgs_leq(space[values[ti]], s) and not rgs_leq(space[values[ti]], space[ti])
+        )
+        if bad:
+            per[s] = bad
+    return per
+
+
+def oracle_shape(ctx, values):
+    space = ctx.space
+    shape = set()
+    for s, coar in zip(ctx.candidates, ctx.coars):
+        for ti in coar:
+            v = space[values[ti]]
+            if rgs_leq(v, s) and not rgs_leq(v, space[ti]):
+                shape.add((space[ti], v))
+    return frozenset(shape)
+
+
+def oracle_greedy(ctx):
+    space = ctx.space
+    best = {}
+    for ti in ctx.relevant:
+        t = space[ti]
+        scored, top = [], 0
+        for vi in ctx.relevant:
+            v = space[vi]
+            if rgs_leq(v, t):
+                continue
+            score = sum(
+                1
+                for s, coar in zip(ctx.candidates, ctx.coars)
+                if ti in coar and rgs_leq(v, s)
+            )
+            if score > top:
+                top, scored = score, [(score, vi)]
+            elif score == top and score > 0:
+                scored.append((score, vi))
+        best[ti] = scored
+    return best
+
+
+KERNEL_CONFIGS = [(2, 2, 2), (3, 0, 2), (3, 2, 2), (2, 1, 3)]
+
+
+class TestLemmaKernel:
+    @pytest.mark.parametrize("kmn", KERNEL_CONFIGS)
+    def test_kernel_agrees_with_nested_loops(self, kmn):
+        ctx = _comb_context(*kmn)
+        rng = random.Random(sum(kmn))
+        size = len(ctx.space)
+        maps = [tuple(rng.randrange(size) for _ in range(size)) for _ in range(40)]
+        maps += [_adversarial_values(ctx, 3, i) for i in range(20)]  # mostly witness-free
+        verdicts, bad_maps = set(), 0
+        for values in maps:
+            kills = _kill_masks(ctx, values)
+            witness = _witness(ctx, kills)
+            per = oracle_census(ctx, values)
+            assert witness == oracle_witness(ctx, values)
+            assert _census(ctx, kills) == per
+            assert _bad_count(kills) == sum(per.values())
+            assert _blocking_shape(ctx, values, kills) == oracle_shape(ctx, values)
+            verdicts.add(witness is not None)
+            bad_maps += bool(kills)
+        assert bad_maps and True in verdicts
+        if kmn == (3, 2, 2):  # the greedy adversary finds witness-free maps here only
+            assert False in verdicts
+
+    @pytest.mark.parametrize("kmn", KERNEL_CONFIGS)
+    def test_greedy_scores_agree_with_nested_loops(self, kmn):
+        assert _greedy_scores(*kmn) == oracle_greedy(_comb_context(*kmn))
+
+    @pytest.mark.parametrize("kmn", KERNEL_CONFIGS)
+    def test_below_masks_match_coarsening_tables(self, kmn):
+        ctx = _comb_context(*kmn)
+        assert ctx.relevant == tuple(sorted(ctx.below))
+        for ti, mask in ctx.below.items():
+            assert mask == sum(1 << ci for ci, coar in enumerate(ctx.coars) if ti in coar)
+
+    @pytest.mark.parametrize("kmn", KERNEL_CONFIGS)
+    def test_down_set_is_the_coarsening_set(self, kmn):
+        k, m, N = kmn
+        ctx = _comb_context(k, m, N)
+        for s in ctx.candidates:
+            down = _down_set(k * N, s)
+            assert set(down) == {t.rgs for t in coarsenings_of(SetPartition(s))}
+            assert len(down) == len(set(down))
+
+
+class TestWitnessIsValid:
+    def test_rejects_map_built_to_invalidate_s(self):
+        k, m, N = 3, 2, 2
+        ctx = _comb_context(k, m, N)
+        for s in ctx.candidates[:4]:
+            assert witness_is_valid(EMapTable.identity(k * N), SetPartition(s), m)
+            for t in _down_set(k * N, s):
+                if t == s:
+                    continue
+                # e(t) = s coarsens s but not t: (s, t) is a bad pair
+                e = EMapTable.from_assignments(k * N, {t: s})
+                assert not witness_is_valid(e, SetPartition(s), m)
+
+    def test_rejects_unseparated_prefix(self):
+        assert not witness_is_valid(EMapTable.identity(4), SetPartition((0, 0, 1, 1)), 2)
+
+    def test_shares_no_path_with_the_search(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("re-validation used the search's enumeration")
+
+        for name in ("coarsenings_of", "_comb_context", "iter_equipartition_rgs"):
+            monkeypatch.setattr(witness_module, name, forbidden)
+        _down_set.cache_clear()
+        s = SetPartition((0, 1, 2, 0, 1, 2))
+        assert witness_is_valid(EMapTable.identity(6), s, 2)
 
 
 class TestMinThreshold:
