@@ -10,11 +10,12 @@ identical reports up to the elapsed-time field.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import os
 import random
 import sys
-from typing import Optional
 
 from .counting import entropy_bounds, ratio_R
 from .e1 import BinaryGrid, blowup_iso, cs_decode, cs_encode, reduce_f
@@ -37,6 +38,8 @@ from .witness import (
     bad_pairs,
     fusion_conditions_hold,
     fusion_step,
+    merge_campaign,
+    min_threshold_comb,
     partition_space,
     verify_comb,
 )
@@ -58,14 +61,10 @@ def _parse_strategy(text: str, samples: int, seed: int):
     if name == "exhaustive":
         cap = int(parts[1]) if len(parts) > 1 else None
         return Exhaustive(cap=cap)
-    if name == "sampled":
+    if name in ("sampled", "adversarial"):
         count = int(parts[1]) if len(parts) > 1 else samples
         sd = int(parts[2]) if len(parts) > 2 else seed
-        return Sampled(count, sd)
-    if name == "adversarial":
-        budget = int(parts[1]) if len(parts) > 1 else samples
-        sd = int(parts[2]) if len(parts) > 2 else seed
-        return Adversarial(budget, sd)
+        return (Sampled if name == "sampled" else Adversarial)(count, sd)
     raise DomainError(f"unknown strategy {text!r}")
 
 
@@ -149,96 +148,40 @@ def cmd_count(args) -> int:
 def cmd_verify_comb(args) -> int:
     strategy = _parse_strategy(args.strategy, args.samples, args.seed)
     if isinstance(strategy, Sampled) and (args.jobs > 1 or strategy.count > CHECKPOINT_EVERY):
-        report = _chunked_verify_comb(args, strategy)
+        # chunks of CHECKPOINT_EVERY maps; a zero-map campaign is one empty chunk
+        chunks = [
+            Sampled(min(CHECKPOINT_EVERY, strategy.count - start), strategy.seed, start)
+            for start in range(0, strategy.count, CHECKPOINT_EVERY)
+        ] or [strategy]
+        parts = _restore_or_run(
+            args,
+            {str(chunk.start): chunk for chunk in chunks},
+            functools.partial(verify_comb, args.k, args.m, args.N),
+            args.jobs,
+        )
+        report = merge_campaign(parts, strategy)
     else:
         report = verify_comb(args.k, args.m, args.N, strategy)
     _emit_report(args, report)
     return EXIT_PASS if report.details["all_witnessed"] else EXIT_COUNTEREXAMPLE
 
 
-def _merge_campaign(parts: list[WitnessReport], strategy) -> WitnessReport:
-    """Combine chunk reports, given in chunk order, into the report of one run."""
-    worst = max(parts, key=lambda r: r.bad_pair_count)  # first maximum, as in one run
-    shapes, seen = [], set()
-    for r in parts:
-        for shape in r.details["counterexample_shapes"]:
-            key = json.dumps(shape)  # resumed chunks hold lists where fresh ones hold tuples
-            if key not in seen:
-                seen.add(key)
-                shapes.append(shape)
-    details = dict(worst.details)
-    details.update(
-        tested=sum(r.details["tested"] for r in parts),
-        failures=sum(r.details["failures"] for r in parts),
-        all_witnessed=all(r.details["all_witnessed"] for r in parts),
-        pigeonhole_ok=all(r.details["pigeonhole_ok"] for r in parts),
-        counterexample_shapes=shapes,
-    )
-    return WitnessReport(
-        params=worst.params,
-        strategy=strategy.label(),
-        seed=strategy.seed,
-        witness=worst.witness,
-        bad_pair_count=worst.bad_pair_count,
-        candidate_count=worst.candidate_count,
-        census=worst.census,
-        ratio=max(r.ratio for r in parts),
-        elapsed_ms=sum(r.elapsed_ms for r in parts),
-        details=details,
-    )
+def _restore_or_run(args, tasks: dict, run, jobs: int = 1) -> list[WitnessReport]:
+    """run(task) for each task, in order, checkpointed to the --out state file.
 
-
-def _chunk_worker(task):
-    k, m, N, count, seed, start = task
-    return verify_comb(k, m, N, Sampled(count, seed, start))
-
-
-def _chunked_verify_comb(args, strategy: Sampled) -> WitnessReport:
-    """Split a sampled campaign into chunks; checkpoint progress if --out is set."""
-    tasks = []
-    pos = strategy.start
-    remaining = strategy.count
-    while remaining > 0:
-        size = min(CHECKPOINT_EVERY, remaining)
-        tasks.append((args.k, args.m, args.N, size, strategy.seed, pos))
-        pos += size
-        remaining -= size
-    state_path, state = _open_state(args)
-    done = state["done"]
-    pending = [t for t in tasks if str(t[5]) not in done]
-    fresh: dict[int, WitnessReport] = {}
-    if args.jobs > 1 and len(pending) > 1:
-        import concurrent.futures
-
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for t, rep in zip(pending, pool.map(_chunk_worker, pending)):
-                fresh[t[5]] = rep
-                _checkpoint(state_path, state, t[5], rep)
-    else:
-        for t in pending:
-            rep = _chunk_worker(t)
-            fresh[t[5]] = rep
-            _checkpoint(state_path, state, t[5], rep)
-    parts = [
-        fresh[t[5]] if t[5] in fresh else WitnessReport.from_json_dict(done[str(t[5])])
-        for t in tasks
-    ]
-    return _merge_campaign(parts, strategy)
-
-
-def _open_state(args) -> tuple[Optional[str], dict]:
-    """The --out checkpoint file and its state, bound to this run's configuration.
-
-    A state file recorded for another configuration is a usage error, so a
-    report is never assembled from another run's results.
+    tasks maps each state key to its task.  A task whose key the state file
+    records is restored, not run; the others run, on a pool of `jobs`
+    processes when more than one is pending, and each report is recorded
+    as it arrives, so an interrupted run resumes where it stopped.  The
+    state file is bound to the run's configuration: one recorded for
+    another configuration is a usage error, so a report is never assembled
+    from another run's results.
     """
     config = {k: v for k, v in _config_dict(args).items() if k not in ("out", "format", "jobs")}
     config["checkpoint_every"] = CHECKPOINT_EVERY
     state = {"config": config, "done": {}}
-    if not args.out:
-        return None, state
-    state_path = args.out + ".state"
-    if os.path.exists(state_path):
+    state_path = args.out + ".state" if args.out else None
+    if state_path and os.path.exists(state_path):
         with open(state_path) as fh:
             saved = json.load(fh)
         if not isinstance(saved, dict) or saved.get("config") != config or "done" not in saved:
@@ -247,17 +190,22 @@ def _open_state(args) -> tuple[Optional[str], dict]:
                 " remove it or choose another --out"
             )
         state = saved
-    return state_path, state
+    done = state["done"]
+    pending = {key: task for key, task in tasks.items() if key not in done}
+    with contextlib.ExitStack() as stack:
+        run_all = map
+        if jobs > 1 and len(pending) > 1:
+            import concurrent.futures
 
-
-def _checkpoint(state_path: Optional[str], state: dict, key: int, rep: WitnessReport) -> None:
-    if state_path is None:
-        return
-    state["done"][str(key)] = rep.to_json_dict()
-    tmp = state_path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(state, fh)
-    os.replace(tmp, state_path)
+            pool = concurrent.futures.ProcessPoolExecutor(max_workers=jobs)
+            run_all = stack.enter_context(pool).map
+        for key, rep in zip(pending, run_all(run, pending.values())):
+            done[key] = rep.to_json_dict()
+            if state_path:
+                with open(state_path + ".tmp", "w") as fh:
+                    json.dump(state, fh)
+                os.replace(state_path + ".tmp", state_path)
+    return [WitnessReport.from_json_dict(done[key]) for key in tasks]
 
 
 def cmd_verify_tree(args) -> int:
@@ -291,22 +239,11 @@ def cmd_bad_pairs(args) -> int:
 
 
 def cmd_find_threshold(args) -> int:
-    search = Sampled(args.samples, args.seed)
-    state_path, state = _open_state(args)
-    done = state["done"]
-    found = None
-    reports = []
-    for N in range(1, args.n_max + 1):
-        if str(N) in done:
-            rep = WitnessReport.from_json_dict(done[str(N)])
-        else:
-            rep = verify_comb(args.k, args.m, N, search)
-            rep.details["empirical"] = True
-            _checkpoint(state_path, state, N, rep)
-        reports.append(rep)
-        if rep.details["all_witnessed"] and rep.ratio < 1:
-            found = N
-            break
+    def campaign(k, m, N, strategy):
+        return _restore_or_run(args, {str(N): strategy}, functools.partial(verify_comb, k, m, N))[0]
+
+    strategy = _parse_strategy(args.strategy, args.samples, args.seed)
+    found, reports = min_threshold_comb(args.k, args.m, strategy, args.n_max, campaign)
     doc = {
         "config": _config_dict(args),
         "threshold": found,
@@ -314,9 +251,7 @@ def cmd_find_threshold(args) -> int:
         "reports": [r.to_json_dict() for r in reports],
     }
     _emit(args, json.dumps(doc, indent=2, sort_keys=True))
-    if found is None:
-        return EXIT_BUDGET
-    return EXIT_PASS
+    return EXIT_PASS if found is not None else EXIT_BUDGET
 
 
 def cmd_entropy_check(args) -> int:
@@ -407,7 +342,6 @@ def _add_common(sub, *names):
         sub.add_argument("--strategy", default="sampled")
         sub.add_argument("--samples", type=int, default=1000)
         sub.add_argument("--seed", type=int, default=0)
-        sub.add_argument("--jobs", type=int, default=1)
     sub.add_argument("--out")
     sub.add_argument("--format", choices=("json", "csv", "table"), default="json")
 
@@ -431,6 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_count)
 
     p = subs.add_parser("verify-comb", help="witness campaign for the coarsening lemma")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes for chunked sampled campaigns")
     _add_common(p, "k", "m", "N", "strategy")
     p.set_defaults(func=cmd_verify_comb)
 

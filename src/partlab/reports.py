@@ -39,10 +39,6 @@ class WitnessReport:
     elapsed_ms: float = 0.0
     details: dict[str, Any] = field(default_factory=dict)
 
-    @property
-    def passed(self) -> bool:
-        return bool(self.details.get("all_witnessed", self.witness is not None))
-
     def to_json_dict(self) -> dict[str, Any]:
         return {
             "params": self.params,
@@ -72,9 +68,6 @@ class WitnessReport:
             elapsed_ms=d["elapsed_ms"],
             details=d["details"],
         )
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent, sort_keys=True)
 
     CSV_FIELDS = (
         "strategy",

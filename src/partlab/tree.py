@@ -17,11 +17,11 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterator, Mapping, Optional, Union
+from typing import Iterator, Mapping, Optional
 
 from .errors import BudgetError, DomainError
 from .reports import WitnessReport
-from .witness import Exhaustive, Sampled, _budget_cap
+from .witness import Strategy, map_stream
 
 __all__ = [
     "BlockPartitionKN",
@@ -209,40 +209,30 @@ def _random_table(P: BlockPartitionKN, seed: int, sample_index: int) -> SectionM
     return SectionMapTable(tuple(entries))
 
 
-def verify_tree(k: int, N: int, strategy: Union[Exhaustive, Sampled]) -> WitnessReport:
-    """Campaign against the equal-block (k, N)-partition; aggregate report."""
+def verify_tree(k: int, N: int, strategy: Strategy) -> WitnessReport:
+    """Campaign against the equal-block (k, N)-partition; aggregate report.
+
+    Exhaustive and sampled strategies only: there is no greedy adversary
+    for section maps.
+    """
     start = time.perf_counter()
     P = equal_block_partition(k, N)
     ct = P.complete_section_count()
     bound = section_bound(k, N)
+    sections = list(enumerate_sections(P))
+    ground = sorted(P.ground)
 
-    if isinstance(strategy, Exhaustive):
-        cap = strategy.cap if strategy.cap is not None else _budget_cap()
-        sections = list(enumerate_sections(P))
-        total_maps = (1 << len(P.ground)) ** len(sections)
-        if total_maps > cap:
-            raise BudgetError(f"{total_maps} maps exceed the exhaustive cap of {cap}")
-        ground = sorted(P.ground)
-
-        def stream():
-            for combo in product(range(1 << len(ground)), repeat=len(sections)):
-                yield SectionMapTable(
-                    tuple(
-                        (F, frozenset(p for i, p in enumerate(ground) if r >> i & 1))
-                        for F, r in zip(sections, combo)
-                    )
-                )
-
-        tables = stream()
-        seed = None
-    elif isinstance(strategy, Sampled):
-        tables = (
-            _random_table(P, strategy.seed, i)
-            for i in range(strategy.start, strategy.start + strategy.count)
+    def assign(combo):
+        return SectionMapTable(
+            tuple(
+                (F, frozenset(p for i, p in enumerate(ground) if r >> i & 1))
+                for F, r in zip(sections, combo)
+            )
         )
-        seed = strategy.seed
-    else:
-        raise DomainError(f"unknown strategy {strategy!r}")
+
+    tables, seed = map_stream(
+        strategy, 1 << len(ground), len(sections), assign, lambda seed, i: _random_table(P, seed, i)
+    )
 
     tested = 0
     failures = 0

@@ -19,14 +19,15 @@ members is checked against the lemma condition.
 
 from __future__ import annotations
 
+import json
 import os
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Mapping, Optional, Union
+from typing import Callable, Iterator, Mapping, Optional, Union
 
 from .errors import BudgetError, DomainError, ThresholdError
 from .partitions import (
@@ -55,7 +56,9 @@ __all__ = [
     "Adversarial",
     "bad_pairs",
     "find_witness",
+    "map_stream",
     "verify_comb",
+    "merge_campaign",
     "min_threshold_comb",
     "fusion_step",
     "fusion_conditions_hold",
@@ -94,7 +97,7 @@ class EMapTable:
         size = len(partition_space(self.n))
         if len(self.values) != size:
             raise DomainError(f"map must be total over {size} partitions")
-        if any(not 0 <= v < size for v in self.values):
+        if min(self.values) < 0 or max(self.values) >= size:
             raise DomainError("value index out of range")
 
     def apply_rgs(self, rgs: tuple[int, ...]) -> tuple[int, ...]:
@@ -120,10 +123,7 @@ class EMapTable:
 
     @classmethod
     def from_assignments(
-        cls,
-        n: int,
-        assignments: Mapping[tuple[int, ...], tuple[int, ...]],
-        default: str = "identity",
+        cls, n: int, assignments: Mapping[tuple[int, ...], tuple[int, ...]]
     ) -> "EMapTable":
         """Build a total table from partial rgs assignments.
 
@@ -131,8 +131,6 @@ class EMapTable:
         the lemma condition when the assigned set covers every coarsening
         of a candidate.
         """
-        if default != "identity":
-            raise DomainError(f"unknown default policy {default!r}")
         index = _space_index(n)
         values = list(range(len(partition_space(n))))
         for arg, val in assignments.items():
@@ -143,9 +141,19 @@ class EMapTable:
 # -- strategies ---------------------------------------------------------------
 
 
+def _non_negative(strategy, *names: str) -> None:
+    for name in names:
+        value = getattr(strategy, name)
+        if value is not None and value < 0:
+            raise DomainError(f"{type(strategy).__name__} {name} must be >= 0, got {value}")
+
+
 @dataclass(frozen=True)
 class Exhaustive:
     cap: Optional[int] = None
+
+    def __post_init__(self):
+        _non_negative(self, "cap")
 
     def label(self) -> str:
         return "exhaustive"
@@ -156,6 +164,9 @@ class Sampled:
     count: int
     seed: int = 0
     start: int = 0  # first sample index, so campaigns can be split into chunks
+
+    def __post_init__(self):
+        _non_negative(self, "count", "start")
 
     def label(self) -> str:
         if self.start:
@@ -168,11 +179,38 @@ class Adversarial:
     budget: int
     seed: int = 0
 
+    def __post_init__(self):
+        _non_negative(self, "budget")
+
     def label(self) -> str:
         return f"adversarial({self.budget}, seed={self.seed})"
 
 
 Strategy = Union[Exhaustive, Sampled, Adversarial]
+
+
+def map_stream(
+    strategy: Strategy, choices: int, slots: int, assign: Callable, sample: Callable, adversary=None
+) -> tuple[Iterator, Optional[int]]:
+    """The maps a campaign tests, and the seed its report records.
+
+    Exhaustive maps give each of `slots` arguments one of `choices` values,
+    built by assign(combo) and capped by the strategy or LAB_BUDGET_CAP.
+    Sampled and adversarial map i is sample(seed, i) or adversary(seed, i);
+    a campaign without an adversary rejects the adversarial strategy.
+    """
+    if isinstance(strategy, Exhaustive):
+        cap = strategy.cap if strategy.cap is not None else _budget_cap()
+        total = choices**slots
+        if total > cap:
+            raise BudgetError(f"{total} adversary maps exceed the exhaustive cap of {cap}")
+        return map(assign, product(range(choices), repeat=slots)), None
+    if isinstance(strategy, Sampled):
+        indices = range(strategy.start, strategy.start + strategy.count)
+        return (sample(strategy.seed, i) for i in indices), strategy.seed
+    if isinstance(strategy, Adversarial) and adversary is not None:
+        return (adversary(strategy.seed, i) for i in range(strategy.budget)), strategy.seed
+    raise DomainError(f"unknown strategy {strategy!r}")
 
 
 # -- shared per-configuration context ----------------------------------------
@@ -403,38 +441,20 @@ def verify_comb(k: int, m: int, N: int, strategy: Strategy) -> WitnessReport:
     ctx = _comb_context(k, m, N)
     n_cands = len(ctx.candidates)
 
-    if isinstance(strategy, Exhaustive):
-        cap = strategy.cap if strategy.cap is not None else _budget_cap()
-        total_maps = len(ctx.space) ** len(ctx.relevant)
-        if total_maps > cap:
-            raise BudgetError(
-                f"{total_maps} adversary maps exceed the exhaustive cap of {cap}"
-            )
-        assignments: Iterable[tuple[int, ...]] = product(
-            range(len(ctx.space)), repeat=len(ctx.relevant)
-        )
+    def assign(combo):
+        values = list(range(len(ctx.space)))
+        for ti, vi in zip(ctx.relevant, combo):
+            values[ti] = vi
+        return tuple(values)
 
-        def value_stream():
-            base = list(range(len(ctx.space)))
-            for combo in assignments:
-                values = base[:]
-                for ti, vi in zip(ctx.relevant, combo):
-                    values[ti] = vi
-                yield tuple(values)
-
-        stream = value_stream()
-        seed = None
-    elif isinstance(strategy, Sampled):
-        stream = (
-            _sample_values(ctx, strategy.seed, i)
-            for i in range(strategy.start, strategy.start + strategy.count)
-        )
-        seed = strategy.seed
-    elif isinstance(strategy, Adversarial):
-        stream = (_adversarial_values(ctx, strategy.seed, i) for i in range(strategy.budget))
-        seed = strategy.seed
-    else:
-        raise DomainError(f"unknown strategy {strategy!r}")
+    stream, seed = map_stream(
+        strategy,
+        len(ctx.space),
+        len(ctx.relevant),
+        assign,
+        lambda seed, i: _sample_values(ctx, seed, i),
+        lambda seed, i: _adversarial_values(ctx, seed, i),
+    )
 
     tested = 0
     failures = 0
@@ -485,19 +505,57 @@ def verify_comb(k: int, m: int, N: int, strategy: Strategy) -> WitnessReport:
     )
 
 
-def min_threshold_comb(
-    k: int, m: int, search: Sampled, N_max: int
-) -> tuple[Optional[int], list[WitnessReport]]:
-    """Least N <= N_max at which the sampled campaign is clean.
+def merge_campaign(parts: list[WitnessReport], strategy: Sampled) -> WitnessReport:
+    """The report of one sampled campaign from its chunk reports, given in chunk order.
 
-    EMPIRICAL: the returned value bounds, but does not certify, the
-    lemma's threshold; it depends on the tested maps only.
+    The worst map is the first maximum of bad_pair_count, as in one run;
+    counterexample shapes keep their first-seen order without repeats, and
+    pigeonhole_ok must hold in every chunk.
+    """
+    worst = max(parts, key=lambda r: r.bad_pair_count)
+    shapes, seen = [], set()
+    for r in parts:
+        for shape in r.details["counterexample_shapes"]:
+            key = json.dumps(shape)  # restored chunks hold lists where fresh ones hold tuples
+            if key not in seen:
+                seen.add(key)
+                shapes.append(shape)
+    details = dict(worst.details)
+    details.update(
+        tested=sum(r.details["tested"] for r in parts),
+        failures=sum(r.details["failures"] for r in parts),
+        all_witnessed=all(r.details["all_witnessed"] for r in parts),
+        pigeonhole_ok=all(r.details["pigeonhole_ok"] for r in parts),
+        counterexample_shapes=shapes,
+    )
+    return replace(
+        worst,
+        strategy=strategy.label(),
+        seed=strategy.seed,
+        elapsed_ms=sum(r.elapsed_ms for r in parts),
+        details=details,
+    )
+
+
+def min_threshold_comb(
+    k: int,
+    m: int,
+    search: Strategy,
+    N_max: int,
+    campaign: Callable[[int, int, int, Strategy], WitnessReport] = verify_comb,
+) -> tuple[Optional[int], list[WitnessReport]]:
+    """Least N <= N_max at which the campaign is clean, with the reports up to it.
+
+    campaign(k, m, N, search) runs one N; a caller may pass one that
+    restores and records its reports.  EMPIRICAL: the returned value
+    bounds, but does not certify, the lemma's threshold; it depends on the
+    tested maps only.
     """
     if not 0 <= m <= k:
         raise DomainError(f"need 0 <= m <= k, got m={m}, k={k}")
     reports = []
     for N in range(1, N_max + 1):
-        rep = verify_comb(k, m, N, search)
+        rep = campaign(k, m, N, search)
         rep.details["empirical"] = True
         reports.append(rep)
         if rep.details["all_witnessed"] and rep.ratio < 1:

@@ -1,8 +1,12 @@
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partlab.cli import main
 
@@ -62,6 +66,13 @@ class TestVerify:
         assert code == 0
         doc = json.loads(out)
         assert doc["report"]["details"]["lemma"] == "tree"
+
+    @pytest.mark.parametrize("subcommand", ["verify-tree", "find-threshold"])
+    def test_jobs_only_on_verify_comb(self, subcommand, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([subcommand, "--k", "2", "--N", "3", "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
 
     def test_budget_exit(self, capsys):
         code, _ = run_cli(
@@ -145,6 +156,17 @@ class TestThresholdAndCheckpoint:
         assert run_cli(*args, capsys=capsys)[0] == 0
         assert json.loads(out_path.read_text())["threshold"] == 2
 
+    def test_find_threshold_honours_strategy(self, capsys):
+        code, out = run_cli(
+            "find-threshold", "--k", "2", "--m", "2", "--n-max", "3",
+            "--strategy", "adversarial:20:9", capsys=capsys,
+        )
+        doc = json.loads(out)
+        assert code == (0 if doc["threshold"] else 3)
+        assert doc["reports"]
+        assert {r["strategy"] for r in doc["reports"]} == {"adversarial(20, seed=9)"}
+        assert {r["seed"] for r in doc["reports"]} == {9}
+
     def test_chunked_campaign_checkpoints(self, tmp_path, capsys):
         out_path = tmp_path / "camp.json"
         code, _ = run_cli(
@@ -206,15 +228,56 @@ class TestCampaignRoundTrip:
         else:
             assert details["counterexample_shapes"] == [[[[0, 0], [0, 1]]]]
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        kmn=st.sampled_from([(2, 2, 1), (2, 0, 2), (2, 2, 2), (3, 2, 2), (2, 1, 3)]),
+        seed=st.integers(0, 1000),
+        count=st.integers(1, 30),
+        every=st.integers(1, 12),
+        dropped=st.integers(0, 2**30 - 1),
+    )
+    def test_chunked_and_resumed_runs_equal_the_single_run(self, kmn, seed, count, every, dropped):
+        strategy = f"sampled:{count}:{seed}"
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            tmp_path = Path(tmp)
+            single = _campaign_report(tmp_path, "single.json", kmn, strategy)
+            mp.setattr("partlab.cli.CHECKPOINT_EVERY", every)
+            chunked = _campaign_report(tmp_path, "chunked.json", kmn, strategy)
+            if count > every:
+                # forget the chunks picked by the bits of `dropped`, then resume
+                state_path = tmp_path / "chunked.json.state"
+                state = json.loads(state_path.read_text())
+                assert sorted(map(int, state["done"])) == list(range(0, count, every))
+                for i, key in enumerate(list(state["done"])):
+                    if dropped >> i & 1:
+                        del state["done"][key]
+                state_path.write_text(json.dumps(state))
+            resumed = _campaign_report(tmp_path, "chunked.json", kmn, strategy)
+        assert chunked == single
+        assert resumed == single
+
+    def test_zero_map_chunked_run_matches_single_run(self, tmp_path):
+        single = _campaign_report(tmp_path, "single.json", (3, 2, 2), "sampled:0:1")
+        chunked = _campaign_report(tmp_path, "chunked.json", (3, 2, 2), "sampled:0:1", "--jobs", "2")
+        assert chunked == single
+        code, report = single
+        assert code == 0
+        assert report["details"]["tested"] == 0
+
+    @pytest.mark.parametrize("strategy", ["sampled:-4:1", "adversarial:-1", "exhaustive:-1"])
+    def test_negative_campaign_size_is_usage_error(self, strategy, capsys):
+        code = main(["verify-comb", "--k", "2", "--m", "2", "--N", "1", "--strategy", strategy])
+        assert code == 2
+        assert ">= 0" in capsys.readouterr().err
+
     def test_merge_takes_pigeonhole_over_every_chunk(self):
-        from partlab.cli import _merge_campaign
-        from partlab.witness import Sampled, verify_comb
+        from partlab.witness import Sampled, merge_campaign, verify_comb
 
         worst = verify_comb(2, 2, 1, Sampled(5, seed=1))
         other = verify_comb(2, 2, 1, Sampled(5, seed=1, start=5))
         other.details["pigeonhole_ok"] = False
         assert worst.bad_pair_count >= other.bad_pair_count
-        merged = _merge_campaign([worst, other], Sampled(10, seed=1))
+        merged = merge_campaign([worst, other], Sampled(10, seed=1))
         assert merged.details["pigeonhole_ok"] is False
 
     def test_state_of_another_configuration_is_usage_error(self, tmp_path, monkeypatch, capsys):

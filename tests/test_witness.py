@@ -61,8 +61,26 @@ class TestEMapTable:
         assert e.apply(SetPartition((0, 1))) == SetPartition((0, 1))
 
     def test_value_range_checked(self):
-        with pytest.raises(DomainError):
-            EMapTable(2, (0, 5))
+        for values in ((0, 5), (-1, 0), (0, 2)):
+            with pytest.raises(DomainError, match="value index out of range"):
+                EMapTable(2, values)
+
+
+class TestStrategies:
+    @pytest.mark.parametrize("make", [
+        lambda: Sampled(-1),
+        lambda: Sampled(3, seed=1, start=-2),
+        lambda: Adversarial(-1),
+        lambda: Exhaustive(cap=-1),
+    ])
+    def test_negative_counts_rejected(self, make):
+        with pytest.raises(DomainError, match=">= 0"):
+            make()
+
+    def test_empty_campaigns_are_valid(self):
+        for strategy in (Sampled(0), Adversarial(0)):
+            rep = verify_comb(2, 2, 2, strategy)
+            assert rep.details["tested"] == 0 and rep.details["all_witnessed"]
 
 
 class TestBadPairs:
@@ -308,6 +326,17 @@ class TestMinThreshold:
         found, reports = min_threshold_comb(2, 2, Sampled(200, seed=1), 4)
         assert found == 2
         assert all(r.details["empirical"] for r in reports)
+
+    def test_any_strategy_and_campaign(self):
+        calls = []
+
+        def campaign(k, m, N, strategy):
+            calls.append(N)
+            return verify_comb(k, m, N, strategy)
+
+        found, reports = min_threshold_comb(2, 2, Adversarial(5, seed=2), 4, campaign)
+        assert calls == list(range(1, found + 1))
+        assert [r.strategy for r in reports] == ["adversarial(5, seed=2)"] * found
 
 
 def random_f_table(B, mprime, seed):
