@@ -83,11 +83,15 @@ def _emit(args, payload: str) -> None:
         print(payload)
 
 
+def _emit_doc(args, **fields) -> None:
+    """Emit one JSON document: the run configuration beside the given fields."""
+    _emit(args, json.dumps({"config": _config_dict(args), **fields}, indent=2, sort_keys=True))
+
+
 def _emit_report(args, report: WitnessReport) -> None:
     fmt = getattr(args, "format", "json")
     if fmt == "json":
-        doc = {"config": _config_dict(args), "report": report.to_json_dict()}
-        _emit(args, json.dumps(doc, indent=2, sort_keys=True))
+        _emit_doc(args, report=report.to_json_dict())
     elif fmt == "csv":
         _emit(args, report.to_csv())
     elif fmt == "table":
@@ -96,12 +100,6 @@ def _emit_report(args, report: WitnessReport) -> None:
         _emit(args, "\n".join(lines))
     else:
         raise DomainError(f"unknown format {fmt!r}")
-
-
-def _parse_partition(text: str) -> SetPartition:
-    if text.startswith("L="):
-        return PartitionPrefix.from_text(text).as_partition()
-    return SetPartition.from_text(text)
 
 
 def _parse_prefix(text: str) -> PartitionPrefix:
@@ -244,13 +242,7 @@ def cmd_find_threshold(args) -> int:
 
     strategy = _parse_strategy(args.strategy, args.samples, args.seed)
     found, reports = min_threshold_comb(args.k, args.m, strategy, args.n_max, campaign)
-    doc = {
-        "config": _config_dict(args),
-        "threshold": found,
-        "empirical": True,
-        "reports": [r.to_json_dict() for r in reports],
-    }
-    _emit(args, json.dumps(doc, indent=2, sort_keys=True))
+    _emit_doc(args, threshold=found, empirical=True, reports=[r.to_json_dict() for r in reports])
     return EXIT_PASS if found is not None else EXIT_BUDGET
 
 
@@ -261,8 +253,7 @@ def cmd_entropy_check(args) -> int:
             lower, binom, upper = entropy_bounds(a, b)
             if not lower <= binom <= upper:
                 bad.append((a, b))
-    doc = {"config": _config_dict(args), "checked": True, "violations": bad}
-    _emit(args, json.dumps(doc, indent=2, sort_keys=True))
+    _emit_doc(args, checked=True, violations=bad)
     return EXIT_PASS if not bad else EXIT_COUNTEREXAMPLE
 
 
@@ -284,14 +275,13 @@ def cmd_fusion_demo(args) -> int:
         table[key.to_text()] = value
     B_new = fusion_step(B, table, args.n0, args.ell, mprime)
     cond1, cond2 = fusion_conditions_hold(B, B_new, table, args.n0, args.ell)
-    doc = {
-        "config": _config_dict(args),
-        "input": B.to_text(),
-        "output": B_new.to_text(),
-        "approximation_kept": cond1,
-        "trace_disjunction": cond2,
-    }
-    _emit(args, json.dumps(doc, indent=2, sort_keys=True))
+    _emit_doc(
+        args,
+        input=B.to_text(),
+        output=B_new.to_text(),
+        approximation_kept=cond1,
+        trace_disjunction=cond2,
+    )
     return EXIT_PASS if cond1 and cond2 else EXIT_COUNTEREXAMPLE
 
 
@@ -333,11 +323,11 @@ def cmd_encode(args) -> int:
 
 def _add_common(sub, *names):
     if "k" in names:
-        sub.add_argument("--k", type=int)
+        sub.add_argument("--k", type=int, required=True)
     if "m" in names:
         sub.add_argument("--m", type=int, default=0)
     if "N" in names:
-        sub.add_argument("--N", type=int)
+        sub.add_argument("--N", type=int, required=True)
     if "strategy" in names:
         sub.add_argument("--strategy", default="sampled")
         sub.add_argument("--samples", type=int, default=1000)
@@ -355,13 +345,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("enumerate", help="list partitions or equipartitions")
     p.add_argument("--n", type=int)
-    _add_common(p, "k", "m", "N")
+    p.add_argument("--k", type=int)
+    p.add_argument("--N", type=int)
+    _add_common(p, "m")
     p.set_defaults(func=cmd_enumerate)
 
     p = subs.add_parser("count", help="count partitions without listing them")
     p.add_argument("--n", type=int)
     p.add_argument("--bell", type=int)
-    _add_common(p, "k", "m", "N")
+    p.add_argument("--k", type=int)
+    p.add_argument("--N", type=int)
+    _add_common(p, "m")
     p.set_defaults(func=cmd_count)
 
     p = subs.add_parser("verify-comb", help="witness campaign for the coarsening lemma")

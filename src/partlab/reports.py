@@ -2,7 +2,9 @@
 
 Counts are serialized as decimal strings and ratios as exact fraction
 strings so reports stay faithful to the exact arithmetic; elapsed_ms is
-the only field allowed to vary between identical runs.
+the only field allowed to vary between identical runs.  `details` holds
+JSON values (tuples serialize as arrays), plus exact Fractions at its top
+level, which serialize as fraction strings like the ratio.
 """
 
 from __future__ import annotations
@@ -50,7 +52,10 @@ class WitnessReport:
             "ratio": str(self.ratio) if self.ratio is not None else None,
             "census": self.census,
             "elapsed_ms": self.elapsed_ms,
-            "details": _jsonable(self.details),
+            "details": {
+                key: str(value) if isinstance(value, Fraction) else value
+                for key, value in self.details.items()
+            },
         }
 
     @classmethod
@@ -88,18 +93,3 @@ class WitnessReport:
         row["params"] = json.dumps(d["params"], sort_keys=True)
         writer.writerow(row)
         return buf.getvalue()
-
-
-def _jsonable(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, SetPartition):
-        return value.to_text()
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, set, frozenset)):
-        items = [_jsonable(v) for v in value]
-        if isinstance(value, (set, frozenset)):
-            items.sort(key=repr)
-        return items
-    return value

@@ -252,6 +252,8 @@ def verify_tree(k: int, N: int, strategy: Strategy) -> WitnessReport:
         max_ratio = max(max_ratio, ratio)
         if bound <= 1 and ratio > bound:
             bound_respected = False
+        if (witness is None) != (bad_sections == ct):
+            raise RuntimeError("section witness search disagrees with the independent count")
         if witness is None:
             failures += 1
         elif not _witness_valid(table, witness):

@@ -74,6 +74,26 @@ class TestVerify:
         assert exc.value.code == 2
         assert "--jobs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-comb", "--m", "2", "--N", "2"],
+            ["verify-comb", "--k", "2", "--m", "2"],
+            ["bad-pairs", "--N", "2"],
+            ["bad-pairs", "--k", "2"],
+            ["verify-tree", "--N", "2"],
+            ["verify-tree", "--k", "2"],
+            ["find-threshold", "--m", "2"],
+            ["ratio", "--a1", "1", "--a2", "1", "--b1", "0", "--b2", "0"],
+        ],
+        ids=" ".join,
+    )
+    def test_missing_size_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "the following arguments are required" in capsys.readouterr().err
+
     def test_budget_exit(self, capsys):
         code, _ = run_cli(
             "verify-tree", "--k", "2", "--N", "4",

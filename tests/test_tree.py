@@ -137,6 +137,21 @@ class TestVerifyTree:
         with pytest.raises(BudgetError):
             verify_tree(2, 4, Exhaustive(cap=10))
 
+    @pytest.mark.parametrize(
+        "k, N, strategy, found",
+        [
+            # every sampled (2, 8) map has a witness
+            (2, 8, Sampled(5, seed=3), None),
+            # some (1, 1) map has none, so its one complete section is bad
+            (1, 1, Exhaustive(cap=10**4), frozenset({0})),
+        ],
+        ids=["missed-witness", "witness-where-every-section-is-bad"],
+    )
+    def test_search_must_agree_with_the_independent_count(self, monkeypatch, k, N, strategy, found):
+        monkeypatch.setattr("partlab.tree.find_section_witness", lambda e, P: found)
+        with pytest.raises(RuntimeError, match="disagrees"):
+            verify_tree(k, N, strategy)
+
     def test_deterministic_given_seed(self):
         a = verify_tree(2, 3, Sampled(30, seed=5))
         b = verify_tree(2, 3, Sampled(30, seed=5))
