@@ -89,17 +89,14 @@ def _emit_doc(args, **fields) -> None:
 
 
 def _emit_report(args, report: WitnessReport) -> None:
-    fmt = getattr(args, "format", "json")
-    if fmt == "json":
-        _emit_doc(args, report=report.to_json_dict())
-    elif fmt == "csv":
+    if args.format == "csv":
         _emit(args, report.to_csv())
-    elif fmt == "table":
+    elif args.format == "table":
         d = report.to_json_dict()
         lines = [f"{name:18} {d[name]}" for name in ("params", "strategy", "seed") + WitnessReport.CSV_FIELDS[2:]]
         _emit(args, "\n".join(lines))
     else:
-        raise DomainError(f"unknown format {fmt!r}")
+        _emit_doc(args, report=report.to_json_dict())
 
 
 def _parse_prefix(text: str) -> PartitionPrefix:
@@ -333,7 +330,8 @@ def _add_common(sub, *names):
         sub.add_argument("--samples", type=int, default=1000)
         sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out")
-    sub.add_argument("--format", choices=("json", "csv", "table"), default="json")
+    if "format" in names:
+        sub.add_argument("--format", choices=("json", "csv", "table"), default="json")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -360,16 +358,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("verify-comb", help="witness campaign for the coarsening lemma")
     p.add_argument("--jobs", type=int, default=1, help="worker processes for chunked sampled campaigns")
-    _add_common(p, "k", "m", "N", "strategy")
+    _add_common(p, "k", "m", "N", "strategy", "format")
     p.set_defaults(func=cmd_verify_comb)
 
     p = subs.add_parser("verify-tree", help="witness campaign for the section lemma")
-    _add_common(p, "k", "N", "strategy")
+    _add_common(p, "k", "N", "strategy", "format")
     p.set_defaults(func=cmd_verify_tree)
 
     p = subs.add_parser("bad-pairs", help="census of lemma violations for one map")
     p.add_argument("--e-map", default="identity")
-    _add_common(p, "k", "m", "N")
+    _add_common(p, "k", "m", "N", "format")
     p.set_defaults(func=cmd_bad_pairs)
 
     p = subs.add_parser("find-threshold", help="least N with a clean sampled campaign")

@@ -127,18 +127,6 @@ class SetPartition:
         return cls(relabel_canonical(labels))
 
     @classmethod
-    def from_blocks(cls, blocks, n: int) -> "SetPartition":
-        labels = [-1] * n
-        for idx, blk in enumerate(blocks):
-            for p in blk:
-                if not 0 <= p < n or labels[p] >= 0:
-                    raise DomainError(f"blocks do not partition range({n})")
-                labels[p] = idx
-        if any(v < 0 for v in labels):
-            raise DomainError(f"blocks do not cover range({n})")
-        return cls.from_labels(labels)
-
-    @classmethod
     def discrete(cls, n: int) -> "SetPartition":
         return cls(tuple(range(n)))
 

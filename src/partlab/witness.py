@@ -6,10 +6,11 @@ e(t) <= t or e(t) !<= s.  The engines do exhaustive, sampled, and greedy
 adversarial campaigns, census bad pairs exactly, and run single fusion
 steps of the canonization construction.
 
-The comb campaigns evaluate the lemma condition through one bitmask
-kernel: per map, each relevant t yields the mask of candidates that e(t)
-invalidates, and the witness, the bad-pair census and the counterexample
-shape are all read off those masks.
+One bitmask kernel evaluates the lemma condition for both candidate
+families, the comb campaigns' equipartitions and the fusion step's
+Q^m(mprime): per map, each relevant t yields the mask of candidates that
+e(t) invalidates, and the witness, the bad-pair census and the
+counterexample shape are all read off those masks.
 
 Every returned witness is re-validated by an independent scan that
 shares no enumeration path with the search: the down-set of the witness
@@ -213,30 +214,21 @@ def map_stream(
     raise DomainError(f"unknown strategy {strategy!r}")
 
 
-# -- shared per-configuration context ----------------------------------------
+# -- shared lemma context -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _CombContext:
-    k: int
-    m: int
-    N: int
+@dataclass(frozen=True, eq=False)  # hashed by identity, so _greedy_scores can cache per context
+class _LemmaContext:
     space: tuple[tuple[int, ...], ...]
-    index: dict[tuple[int, ...], int]
     candidates: tuple[tuple[int, ...], ...]
     coars: tuple[tuple[int, ...], ...]  # per candidate: indices of its coarsenings
     relevant: tuple[int, ...]  # indices of t coarsening at least one candidate
     below: dict[int, int]  # per relevant v: bitmask of the candidates s with v <= s
 
 
-@lru_cache(maxsize=16)
-def _comb_context(k: int, m: int, N: int) -> _CombContext:
-    if not 0 <= m <= k or k < 1 or N < 1:
-        raise DomainError(f"need 1 <= k, 1 <= N, 0 <= m <= k; got k={k}, m={m}, N={N}")
-    n = k * N
-    space = partition_space(n)
+def _lemma_context(n: int, candidates: tuple[tuple[int, ...], ...]) -> _LemmaContext:
+    """The kernel's tables for one candidate family over Q(n), in the family's order."""
     index = _space_index(n)
-    candidates = tuple(iter_equipartition_rgs(k, N, m))
     coars = []
     below: dict[int, int] = {}
     for ci, s in enumerate(candidates):
@@ -246,10 +238,24 @@ def _comb_context(k: int, m: int, N: int) -> _CombContext:
             below[ti] = below.get(ti, 0) | 1 << ci
     relevant = tuple(sorted(below))
     below = {ti: below[ti] for ti in relevant}
-    return _CombContext(k, m, N, space, index, candidates, tuple(coars), relevant, below)
+    return _LemmaContext(partition_space(n), candidates, tuple(coars), relevant, below)
 
 
-def _kill_masks(ctx: _CombContext, values: tuple[int, ...]) -> dict[int, int]:
+@lru_cache(maxsize=16)
+def _comb_context(k: int, m: int, N: int) -> _LemmaContext:
+    """The comb campaigns' candidates: equipartitions of kN points separating the first m."""
+    if not 0 <= m <= k or k < 1 or N < 1:
+        raise DomainError(f"need 1 <= k, 1 <= N, 0 <= m <= k; got k={k}, m={m}, N={N}")
+    return _lemma_context(k * N, tuple(iter_equipartition_rgs(k, N, m)))
+
+
+@lru_cache(maxsize=16)
+def _fusion_context(m: int, mprime: int) -> _LemmaContext:
+    """The fusion step's candidates: all of Q^m(mprime)."""
+    return _lemma_context(mprime, tuple(iter_rgs(mprime, m)))
+
+
+def _kill_masks(ctx: _LemmaContext, values: tuple[int, ...]) -> dict[int, int]:
     """The lemma kernel: per relevant t, the candidates s that e(t) invalidates.
 
     (s, t) is a bad pair when t <= s, e(t) <= s and e(t) !<= t, so the
@@ -267,7 +273,7 @@ def _kill_masks(ctx: _CombContext, values: tuple[int, ...]) -> dict[int, int]:
     return kills
 
 
-def _witness(ctx: _CombContext, kills: dict[int, int]) -> Optional[tuple[int, ...]]:
+def _witness(ctx: _LemmaContext, kills: dict[int, int]) -> Optional[tuple[int, ...]]:
     """Lexicographically least candidate no kill mask hits, or None."""
     killed = 0
     for mask in kills.values():
@@ -281,7 +287,7 @@ def _bad_count(kills: dict[int, int]) -> int:
     return sum(mask.bit_count() for mask in kills.values())
 
 
-def _census(ctx: _CombContext, kills: dict[int, int]) -> dict[tuple[int, ...], int]:
+def _census(ctx: _LemmaContext, kills: dict[int, int]) -> dict[tuple[int, ...], int]:
     """Bad pairs per candidate, for the candidates that have any."""
     per = {}
     for ci, s in enumerate(ctx.candidates):
@@ -291,7 +297,7 @@ def _census(ctx: _CombContext, kills: dict[int, int]) -> dict[tuple[int, ...], i
     return per
 
 
-def _blocking_shape(ctx: _CombContext, values: tuple[int, ...], kills: dict[int, int]) -> frozenset:
+def _blocking_shape(ctx: _LemmaContext, values: tuple[int, ...], kills: dict[int, int]) -> frozenset:
     """The entries of e that invalidate candidates: the failing map's shape."""
     space = ctx.space
     return frozenset({(space[ti], space[values[ti]]) for ti in kills})
@@ -329,18 +335,9 @@ def find_witness(e: EMapTable, m: int, mprime: int) -> Optional[SetPartition]:
         raise DomainError(f"map is over {e.n} points, expected {mprime}")
     if not 0 <= m <= mprime:
         raise DomainError(f"need 0 <= m <= {mprime}")
-    space = partition_space(mprime)
-    for s in iter_rgs(mprime, m):
-        ok = True
-        for t in coarsenings_of(SetPartition(s)):
-            v = space[e.values[_space_index(mprime)[t.rgs]]]
-            if rgs_leq(v, t.rgs) or not rgs_leq(v, s):
-                continue
-            ok = False
-            break
-        if ok:
-            return SetPartition(s)
-    return None
+    ctx = _fusion_context(m, mprime)
+    witness = _witness(ctx, _kill_masks(ctx, e.values))
+    return SetPartition(witness) if witness is not None else None
 
 
 def bad_pairs(e: EMapTable, k: int, m: int, N: int) -> WitnessReport:
@@ -368,7 +365,7 @@ def bad_pairs(e: EMapTable, k: int, m: int, N: int) -> WitnessReport:
     )
 
 
-def _sample_values(ctx: _CombContext, seed: int, sample_index: int) -> tuple[int, ...]:
+def _sample_values(ctx: _LemmaContext, seed: int, sample_index: int) -> tuple[int, ...]:
     """Uniform independent values on coarsening-relevant arguments.
 
     Irrelevant arguments keep the identity; they cannot occur in the
@@ -384,9 +381,8 @@ def _sample_values(ctx: _CombContext, seed: int, sample_index: int) -> tuple[int
 
 
 @lru_cache(maxsize=16)
-def _greedy_scores(k: int, m: int, N: int) -> dict[int, list[tuple[int, int]]]:
+def _greedy_scores(ctx: _LemmaContext) -> dict[int, list[tuple[int, int]]]:
     """For each relevant t: value indices with maximal invalidation score."""
-    ctx = _comb_context(k, m, N)
     space = ctx.space
     best: dict[int, list[tuple[int, int]]] = {}
     for ti, above_t in ctx.below.items():
@@ -407,7 +403,7 @@ def _greedy_scores(k: int, m: int, N: int) -> dict[int, list[tuple[int, int]]]:
     return best
 
 
-def _adversarial_values(ctx: _CombContext, seed: int, map_index: int) -> tuple[int, ...]:
+def _adversarial_values(ctx: _LemmaContext, seed: int, map_index: int) -> tuple[int, ...]:
     """Greedy adversary: per argument, a maximally invalidating value.
 
     Map 0 is the pure greedy with lexicographic-least tie-break; later
@@ -416,7 +412,7 @@ def _adversarial_values(ctx: _CombContext, seed: int, map_index: int) -> tuple[i
     adversarial difficulty.
     """
     rng = random.Random((seed << 32) ^ (map_index * 0x85EBCA6B + 3))
-    best = _greedy_scores(ctx.k, ctx.m, ctx.N)
+    best = _greedy_scores(ctx)
     values = list(range(len(ctx.space)))
     for ti in ctx.relevant:
         choices = best[ti]
@@ -476,7 +472,7 @@ def verify_comb(k: int, m: int, N: int, strategy: Strategy) -> WitnessReport:
             if bad < n_cands:
                 pigeonhole_ok = False  # would contradict the counting chain
         else:
-            e = EMapTable(ctx.k * ctx.N, values)
+            e = EMapTable(k * N, values)
             if not witness_is_valid(e, SetPartition(witness), m):
                 raise RuntimeError("witness failed independent re-validation")
         if bad > worst_bad:
@@ -596,21 +592,20 @@ def fusion_step(
     if m > mprime:
         raise DomainError(f"need n0+ell+1 <= mprime, got {m} > {mprime}")
     table = _normalize_ftable(f_table)
-    space = partition_space(mprime)
-    index = _space_index(mprime)
-    values = []
-    for t in space:
-        A = induced_coarsening_h(SetPartition(t), B, mprime)
+
+    def induced(t: SetPartition) -> SetPartition:
+        A = induced_coarsening_h(t, B, mprime)
         C = table.get(A.to_text())
         if C is None:
             raise DomainError(f"f_table is not defined on {A.to_text()}")
-        values.append(index[project_g(C, B, mprime).rgs])
-    e = EMapTable(mprime, tuple(values))
+        return project_g(C, B, mprime)
+
+    e = EMapTable.from_function(mprime, induced)
     witness = find_witness(e, m, mprime)
     if witness is None:
-        # independent brute-force recheck before reporting a threshold failure
-        if _brute_force_has_witness(e, m, mprime):
-            raise RuntimeError("search and brute-force recheck disagree on witness absence")
+        # recheck every candidate with the independent validator, not the kernel
+        if any(witness_is_valid(e, SetPartition(s), m) for s in iter_rgs(mprime, m)):
+            raise RuntimeError("search and independent recheck disagree on witness absence")
         raise ThresholdError(f"no witness in Q^{m}({mprime}); enlarge mprime")
     if not witness_is_valid(e, witness, m):
         raise RuntimeError("witness failed independent re-validation")
@@ -618,18 +613,6 @@ def fusion_step(
     if approx_r(B_new, n0 + ell) != approx_r(B, n0 + ell):
         raise RuntimeError("fusion step did not preserve the required approximation")
     return B_new
-
-
-def _brute_force_has_witness(e: EMapTable, m: int, mprime: int) -> bool:
-    """From-scratch scan over all (s, t) pairs; shares no path with find_witness."""
-    for s in iter_rgs(mprime, m):
-        if all(
-            rgs_leq(e.apply_rgs(t), t) or not rgs_leq(e.apply_rgs(t), s)
-            for t in iter_rgs(mprime)
-            if rgs_leq(t, s)
-        ):
-            return True
-    return False
 
 
 def fusion_conditions_hold(

@@ -94,6 +94,39 @@ class TestVerify:
         assert exc.value.code == 2
         assert "the following arguments are required" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["entropy-check", "--b-max", "2"],
+            ["fusion-demo"],
+            ["find-threshold", "--k", "2", "--m", "2"],
+            ["count", "--n", "3"],
+            ["enumerate", "--n", "3"],
+            ["ratio", "--a1", "1", "--a2", "1", "--b1", "0", "--b2", "0", "--N", "2"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_format_only_on_report_commands(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--format", "csv"])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", ["csv", "table"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-comb", "--k", "2", "--m", "2", "--N", "1", "--strategy", "exhaustive"],
+            ["verify-tree", "--k", "2", "--N", "3", "--strategy", "sampled:30:5"],
+            ["bad-pairs", "--k", "2", "--m", "2", "--N", "2"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_report_commands_take_format(self, argv, fmt, capsys):
+        assert main(argv + ["--format", fmt]) in (0, 1)
+        out = capsys.readouterr().out
+        assert out.startswith("params,strategy," if fmt == "csv" else "params ")
+
     def test_budget_exit(self, capsys):
         code, _ = run_cli(
             "verify-tree", "--k", "2", "--N", "4",

@@ -9,6 +9,7 @@ from partlab.partitions import (
     coarsenings_of,
     enumerate_partitions,
     is_coarsening,
+    iter_rgs,
     meet_refine,
     rgs_leq,
 )
@@ -37,6 +38,7 @@ from partlab.witness import (
     _census,
     _comb_context,
     _down_set,
+    _fusion_context,
     _greedy_scores,
     _kill_masks,
     _witness,
@@ -118,6 +120,40 @@ class TestBadPairs:
                         assert is_coarsening(meet_refine(t, et), s)
 
 
+# (m, mprime) of fusion steps, whose candidates are all of Q^m(mprime)
+FUSION_CONFIGS = [(0, 3), (2, 3), (1, 4), (2, 4), (2, 5)]
+# fusion families where some of the tested maps have no witness; at m <= 2
+# and mprime >= 3 every tested map has one
+WITNESS_FREE_CONFIGS = [(2, 2), (3, 4), (3, 5)]
+
+
+def reference_find_witness(e, m, mprime):
+    """The oracle for find_witness: nested rgs_leq loops over each candidate's coarsenings."""
+    for s in iter_rgs(mprime, m):
+        ok = True
+        for t in coarsenings_of(SetPartition(s)):
+            v = e.apply_rgs(t.rgs)
+            if rgs_leq(v, t.rgs) or not rgs_leq(v, s):
+                continue
+            ok = False
+            break
+        if ok:
+            return SetPartition(s)
+    return None
+
+
+def killing_map(rng, m, mprime):
+    """A map sending a fresh proper coarsening t of each candidate s to s, which kills s."""
+    candidates = list(iter_rgs(mprime, m))
+    rng.shuffle(candidates)
+    assignments = {}
+    for s in candidates:
+        free = [t.rgs for t in coarsenings_of(SetPartition(s)) if t.rgs != s and t.rgs not in assignments]
+        if free:
+            assignments[rng.choice(free)] = s
+    return EMapTable.from_assignments(mprime, assignments)
+
+
 class TestFindWitness:
     def test_identity(self):
         assert find_witness(EMapTable.identity(2), 2, 2) == SetPartition((0, 1))
@@ -139,6 +175,19 @@ class TestFindWitness:
             w = find_witness(e, 2, 4)
             if w is not None:
                 assert witness_is_valid(e, w, 2)
+
+    @pytest.mark.parametrize("config", FUSION_CONFIGS + WITNESS_FREE_CONFIGS)
+    def test_equals_the_nested_loop(self, config):
+        m, mprime = config
+        rng = random.Random(mprime * 10 + m)
+        size = len(partition_space(mprime))
+        maps = [EMapTable(mprime, tuple(rng.randrange(size) for _ in range(size))) for _ in range(30)]
+        maps += [killing_map(rng, m, mprime) for _ in range(30)]
+        ctx = _fusion_context(m, mprime)
+        maps += [EMapTable(mprime, _adversarial_values(ctx, 5, i)) for i in range(10)]
+        verdicts = [find_witness(e, m, mprime) for e in maps]
+        assert verdicts == [reference_find_witness(e, m, mprime) for e in maps]
+        assert (None in verdicts) == (config in WITNESS_FREE_CONFIGS)
 
 
 class TestVerifyComb:
@@ -246,10 +295,15 @@ def oracle_greedy(ctx):
 KERNEL_CONFIGS = [(2, 2, 2), (3, 0, 2), (3, 2, 2), (2, 1, 3)]
 
 
+def context_of(kmn):
+    """The comb context of (k, m, N), or the fusion context of (m, mprime)."""
+    return _comb_context(*kmn) if len(kmn) == 3 else _fusion_context(*kmn)
+
+
 class TestLemmaKernel:
-    @pytest.mark.parametrize("kmn", KERNEL_CONFIGS)
+    @pytest.mark.parametrize("kmn", KERNEL_CONFIGS + FUSION_CONFIGS)
     def test_kernel_agrees_with_nested_loops(self, kmn):
-        ctx = _comb_context(*kmn)
+        ctx = context_of(kmn)
         rng = random.Random(sum(kmn))
         size = len(ctx.space)
         maps = [tuple(rng.randrange(size) for _ in range(size)) for _ in range(40)]
@@ -269,23 +323,23 @@ class TestLemmaKernel:
         if kmn == (3, 2, 2):  # the greedy adversary finds witness-free maps here only
             assert False in verdicts
 
-    @pytest.mark.parametrize("kmn", KERNEL_CONFIGS)
+    @pytest.mark.parametrize("kmn", KERNEL_CONFIGS + FUSION_CONFIGS)
     def test_greedy_scores_agree_with_nested_loops(self, kmn):
-        assert _greedy_scores(*kmn) == oracle_greedy(_comb_context(*kmn))
+        ctx = context_of(kmn)
+        assert _greedy_scores(ctx) == oracle_greedy(ctx)
 
-    @pytest.mark.parametrize("kmn", KERNEL_CONFIGS)
+    @pytest.mark.parametrize("kmn", KERNEL_CONFIGS + FUSION_CONFIGS)
     def test_below_masks_match_coarsening_tables(self, kmn):
-        ctx = _comb_context(*kmn)
+        ctx = context_of(kmn)
         assert ctx.relevant == tuple(sorted(ctx.below))
         for ti, mask in ctx.below.items():
             assert mask == sum(1 << ci for ci, coar in enumerate(ctx.coars) if ti in coar)
 
-    @pytest.mark.parametrize("kmn", KERNEL_CONFIGS)
+    @pytest.mark.parametrize("kmn", KERNEL_CONFIGS + FUSION_CONFIGS)
     def test_down_set_is_the_coarsening_set(self, kmn):
-        k, m, N = kmn
-        ctx = _comb_context(k, m, N)
+        ctx = context_of(kmn)
         for s in ctx.candidates:
-            down = _down_set(k * N, s)
+            down = _down_set(len(s), s)
             assert set(down) == {t.rgs for t in coarsenings_of(SetPartition(s))}
             assert len(down) == len(set(down))
 
@@ -310,7 +364,7 @@ class TestWitnessIsValid:
         def forbidden(*args, **kwargs):
             raise AssertionError("re-validation used the search's enumeration")
 
-        for name in ("coarsenings_of", "_comb_context", "iter_equipartition_rgs"):
+        for name in ("coarsenings_of", "_comb_context", "_fusion_context", "_lemma_context", "iter_equipartition_rgs"):
             monkeypatch.setattr(witness_module, name, forbidden)
         _down_set.cache_clear()
         s = SetPartition((0, 1, 2, 0, 1, 2))
@@ -366,6 +420,14 @@ class TestFusionStep:
         B = PartitionPrefix.discrete(6)
         with pytest.raises(DomainError):
             fusion_step(B, {}, 0, 0, 3)
+
+    def test_search_and_recheck_disagreeing_is_an_error(self, monkeypatch):
+        B = PartitionPrefix.discrete(8)
+        table = random_f_table(B, 4, seed=0)
+        assert fusion_step(B, table, 0, 1, 4) is not None  # this table has a witness
+        monkeypatch.setattr(witness_module, "find_witness", lambda e, m, mprime: None)
+        with pytest.raises(RuntimeError, match="disagree on witness absence"):
+            fusion_step(B, table, 0, 1, 4)
 
     def test_approximation_preserved(self):
         for seed in range(10):
