@@ -28,7 +28,7 @@ from .partitions import (
     enumerate_partitions,
 )
 from .prefixes import PartitionPrefix, induced_coarsening_h
-from .reports import WitnessReport
+from .reports import WitnessReport, json_text
 from .tree import verify_tree
 from .witness import (
     Adversarial,
@@ -85,7 +85,7 @@ def _emit(args, payload: str) -> None:
 
 def _emit_doc(args, **fields) -> None:
     """Emit one JSON document: the run configuration beside the given fields."""
-    _emit(args, json.dumps({"config": _config_dict(args), **fields}, indent=2, sort_keys=True))
+    _emit(args, json_text({"config": _config_dict(args), **fields}))
 
 
 def _emit_report(args, report: WitnessReport) -> None:

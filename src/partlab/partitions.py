@@ -148,6 +148,13 @@ class SetPartition:
         return self.to_text() or "(empty)"
 
 
+def _trusted(rgs: tuple[int, ...]) -> SetPartition:
+    """A SetPartition of an rgs tuple the library generated itself, not re-validated."""
+    p = object.__new__(SetPartition)
+    object.__setattr__(p, "rgs", rgs)
+    return p
+
+
 def iter_rgs(n: int, m: int = 0) -> Iterator[tuple[int, ...]]:
     """All rgs of length n with points 0..m-1 in distinct blocks, lex order.
 
@@ -181,7 +188,7 @@ def iter_rgs(n: int, m: int = 0) -> Iterator[tuple[int, ...]]:
 def enumerate_partitions(n: int, m: int = 0) -> Iterator[SetPartition]:
     """Stream every partition of n points separating the first m, lex order."""
     for rgs in iter_rgs(n, m):
-        yield SetPartition(rgs)
+        yield _trusted(rgs)
 
 
 def iter_equipartition_rgs(k: int, N: int, m: int = 0) -> Iterator[tuple[int, ...]]:
@@ -223,7 +230,7 @@ def iter_equipartition_rgs(k: int, N: int, m: int = 0) -> Iterator[tuple[int, ..
 def enumerate_equipartitions(k: int, N: int, m: int = 0) -> Iterator[SetPartition]:
     """Stream the equipartitions of k*N points (k blocks of N), lex order."""
     for rgs in iter_equipartition_rgs(k, N, m):
-        yield SetPartition(rgs)
+        yield _trusted(rgs)
 
 
 def is_coarsening(s: SetPartition, t: SetPartition) -> bool:
@@ -237,7 +244,7 @@ def meet_refine(t1: SetPartition, t2: SetPartition) -> SetPartition:
     """Least common upper bound of t1, t2: their common refinement."""
     if t1.n != t2.n:
         raise DomainError(f"domain size mismatch: {t1.n} vs {t2.n}")
-    return SetPartition(rgs_meet(t1.rgs, t2.rgs))
+    return _trusted(rgs_meet(t1.rgs, t2.rgs))
 
 
 def count_partitions(n: int) -> int:
@@ -270,4 +277,4 @@ def coarsenings_of(s: SetPartition) -> Iterator[SetPartition]:
         return
     srgs = s.rgs
     for q in iter_rgs(k):
-        yield SetPartition(relabel_canonical(q[v] for v in srgs))
+        yield _trusted(relabel_canonical(q[v] for v in srgs))

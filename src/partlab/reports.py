@@ -4,7 +4,8 @@ Counts are serialized as decimal strings and ratios as exact fraction
 strings so reports stay faithful to the exact arithmetic; elapsed_ms is
 the only field allowed to vary between identical runs.  `details` holds
 JSON values (tuples serialize as arrays), plus exact Fractions at its top
-level, which serialize as fraction strings like the ratio.
+level, which serialize as fraction strings like the ratio.  `json_text`
+writes every JSON document the CLI emits.
 """
 
 from __future__ import annotations
@@ -12,13 +13,85 @@ from __future__ import annotations
 import csv
 import io
 import json
+import marshal
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Any, Optional
 
 from .partitions import SetPartition
 
-__all__ = ["WitnessReport"]
+__all__ = ["WitnessReport", "json_text"]
+
+_INF = float("inf")
+
+
+def _float_text(o: float) -> str:
+    if o != o:
+        return "NaN"
+    if o == _INF:
+        return "Infinity"
+    if o == -_INF:
+        return "-Infinity"
+    return float.__repr__(o)
+
+
+def json_text(doc: Any) -> str:
+    """doc as text, byte for byte ``json.dumps(doc, indent=2, sort_keys=True)``.
+
+    With ``indent`` set, ``json`` falls back to its pure-Python encoder.
+    Here strings and keys still go through its C escaper, scalars follow
+    its rules, and each container is one join, copied once into its
+    brackets.  Counterexample shapes repeat a few thousand distinct
+    (t, e(t)) entries many times over, so each distinct tuple is rendered
+    once per depth.  The memo is keyed by the tuple's marshal bytes, not
+    by the tuple: 1 == True and 0 == 0.0 hash alike but print differently,
+    whereas marshal tells exact types apart and refuses subclasses, which
+    are then rendered unmemoised.  Document keys are strings; any other
+    key raises TypeError.
+    """
+    memo: dict[tuple[str, bytes], str] = {}
+
+    def render(o, nl: str) -> str:
+        if isinstance(o, str):
+            return _json_str(o)
+        if o is None:
+            return "null"
+        if o is True:
+            return "true"
+        if o is False:
+            return "false"
+        if isinstance(o, int):
+            return int.__repr__(o)
+        if isinstance(o, float):
+            return _float_text(o)
+        inner = nl + "  "
+        if isinstance(o, (list, tuple)):
+            if not o:
+                return "[]"
+            key = None
+            if type(o) is tuple:
+                try:
+                    key = (nl, marshal.dumps(o, 2))
+                except ValueError:
+                    pass
+                else:
+                    text = memo.get(key)
+                    if text is not None:
+                        return text
+            body = ("," + inner).join([render(v, inner) for v in o])
+            text = f"[{inner}{body}{nl}]"
+            if key is not None:
+                memo[key] = text
+            return text
+        if isinstance(o, dict):
+            if not o:
+                return "{}"
+            body = ("," + inner).join([_json_str(k) + ": " + render(v, inner) for k, v in sorted(o.items())])
+            return f"{{{inner}{body}{nl}}}"
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+    return render(doc, "\n")
 
 
 @dataclass

@@ -1,8 +1,12 @@
 import json
 import re
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from partlab.cli import main
-from partlab.reports import WitnessReport
+from partlab.reports import WitnessReport, json_text
 from partlab.tree import verify_tree
 from partlab.witness import (
     Adversarial,
@@ -120,3 +124,91 @@ def test_document_text_is_pinned(tmp_path, monkeypatch, capsys):
     assert main(argv) == 1
     stdout = _without_elapsed(capsys.readouterr().out)
     assert stdout == EXHAUSTIVE_221.replace('"out": "r.json"', '"out": null')
+
+
+def _indented(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 1e16, 1, True, 0]),
+    st.text(),
+    st.sampled_from(["", "\x00\t\n\x1f\x7f\"\\", "\u00e9\u2028\U0001f600", "\ud800"]),
+)
+
+_trees = st.recursive(
+    _scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        # repeated tuples at one depth exercise the writer's memo
+        st.lists(st.lists(children, max_size=3).map(tuple), max_size=3).map(lambda xs: xs + xs[::-1]),
+        st.dictionaries(st.text(), children, max_size=4),
+    ),
+    max_leaves=40,
+)
+
+
+class TestJsonText:
+    @settings(max_examples=300, deadline=None)
+    @given(_trees)
+    def test_equals_indented_json_dumps(self, doc):
+        assert json_text(doc) == _indented(doc)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            # equal, hashing alike, printed differently; each pair at one depth
+            {"a": [(1, 1), (1, True)], "b": [(1, True), (1, 1)]},
+            [[(0,), (0.0,)], [(0.0,), (0,)]],
+            [(0.0,), (-0.0,), ((1,),), ((True,),)],
+        ],
+    )
+    def test_memo_tells_equal_values_of_other_types_apart(self, doc):
+        assert json_text(doc) == _indented(doc)
+
+    @pytest.mark.parametrize("doc", [{"s": {1}}, {"t": ({1},)}, {"k": {2: None}}])
+    def test_what_no_document_holds_raises_type_error(self, doc):
+        with pytest.raises(TypeError):
+            json_text(doc)
+
+
+def _redumped(text: str) -> str:
+    return _indented(json.loads(text)) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-comb", "--k", "3", "--m", "2", "--N", "2", "--strategy", "adversarial:20:7"],
+        ["find-threshold", "--k", "2", "--m", "2", "--n-max", "3", "--samples", "50", "--seed", "1"],
+        ["fusion-demo", "--L", "8", "--Mprime", "3", "--seed", "4"],
+        ["entropy-check", "--b-max", "8"],
+    ],
+)
+def test_documents_equal_indented_json_dumps(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    main(argv)
+    stdout = capsys.readouterr().out
+    assert stdout == _redumped(stdout)
+    main(argv + ["--out", "doc.json"])
+    text = (tmp_path / "doc.json").read_text()
+    assert text == _redumped(text)
+
+
+def test_resumed_document_equals_indented_json_dumps(tmp_path, monkeypatch):
+    monkeypatch.setattr("partlab.cli.CHECKPOINT_EVERY", 7)
+    out = tmp_path / "r.json"
+    argv = ["verify-comb", "--k", "2", "--m", "2", "--N", "1", "--strategy", "sampled:40:5", "--out", str(out)]
+    assert main(argv) == 1
+    fresh = out.read_text()
+    # every chunk now comes back from the state file, its shapes as lists
+    assert main(argv) == 1
+    text = out.read_text()
+    assert json.loads(text)["report"]["details"]["counterexample_shapes"]
+    assert text == _redumped(text)
+    assert _without_elapsed(text) == _without_elapsed(fresh)
