@@ -59,8 +59,7 @@ def _parse_strategy(text: str, samples: int, seed: int):
     parts = text.split(":")
     name = parts[0]
     if name == "exhaustive":
-        cap = int(parts[1]) if len(parts) > 1 else None
-        return Exhaustive(cap=cap)
+        return Exhaustive(int(parts[1])) if len(parts) > 1 else Exhaustive()
     if name in ("sampled", "adversarial"):
         count = int(parts[1]) if len(parts) > 1 else samples
         sd = int(parts[2]) if len(parts) > 2 else seed
@@ -205,8 +204,6 @@ def _restore_or_run(args, tasks: dict, run, jobs: int = 1) -> list[WitnessReport
 
 def cmd_verify_tree(args) -> int:
     strategy = _parse_strategy(args.strategy, args.samples, args.seed)
-    if isinstance(strategy, Adversarial):
-        raise DomainError("verify-tree supports exhaustive and sampled strategies")
     report = verify_tree(args.k, args.N, strategy)
     _emit_report(args, report)
     return EXIT_PASS if report.details["all_witnessed"] else EXIT_COUNTEREXAMPLE

@@ -111,28 +111,14 @@ class SetPartition:
             out[v].append(i)
         return out
 
-    def block_sizes(self) -> list[int]:
-        sizes = [0] * self.num_blocks
-        for v in self.rgs:
-            sizes[v] += 1
-        return sizes
-
     def restrict(self, length: int) -> "SetPartition":
         if length > self.n:
             raise DomainError(f"cannot restrict length-{self.n} partition to {length}")
         return SetPartition(self.rgs[:length])
 
     @classmethod
-    def from_labels(cls, labels) -> "SetPartition":
-        return cls(relabel_canonical(labels))
-
-    @classmethod
     def discrete(cls, n: int) -> "SetPartition":
         return cls(tuple(range(n)))
-
-    @classmethod
-    def single_block(cls, n: int) -> "SetPartition":
-        return cls((0,) * n)
 
     def to_text(self) -> str:
         return ",".join(str(v) for v in self.rgs)

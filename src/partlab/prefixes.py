@@ -65,10 +65,6 @@ class PartitionPrefix:
     def discrete(cls, L: int) -> "PartitionPrefix":
         return cls(tuple(range(L)))
 
-    @classmethod
-    def from_partition(cls, p: SetPartition) -> "PartitionPrefix":
-        return cls(p.rgs)
-
     def to_text(self) -> str:
         return f"L={self.L};" + ",".join(str(v) for v in self.rgs)
 

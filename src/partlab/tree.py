@@ -6,8 +6,13 @@ meets each exactly once.  Given an adversary map e from sections to
 arbitrary subsets of the ground set, a witness is a complete section E
 with e(F) subset-of F or e(F) not-subset-of E for every F inside E.
 
-Subset tests run on bitmasks; the ground set is mapped onto bit
-positions in sorted point order.
+This is the comb lemma's condition with inclusion as the order, so the
+search runs on the witness module's lemma kernel: the complete sections
+are the candidates, and every section lies below one of them.  Sections
+and values are keyed by bitmasks, the ground set mapped onto bit
+positions in sorted point order.  Every campaign result is checked
+against an independent set-based count that shares none of the kernel's
+tables.
 """
 
 from __future__ import annotations
@@ -16,12 +21,13 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from typing import Iterator, Mapping, Optional
 
 from .errors import BudgetError, DomainError
 from .reports import WitnessReport
-from .witness import Strategy, map_stream
+from .witness import Strategy, _kill_masks, _lemma_context, _witness, map_stream
 
 __all__ = [
     "BlockPartitionKN",
@@ -116,14 +122,6 @@ def enumerate_sections(P: BlockPartitionKN, complete_only: bool = False) -> Iter
     yield from sections
 
 
-def _check_table(e: SectionMapTable, P: BlockPartitionKN) -> dict[frozenset, frozenset]:
-    table = e.as_dict()
-    missing = [s for s in enumerate_sections(P) if s not in table]
-    if missing:
-        raise DomainError(f"map is not total: {len(missing)} sections unmapped")
-    return table
-
-
 def _masks(P: BlockPartitionKN):
     order = sorted(P.ground)
     bit = {p: 1 << i for i, p in enumerate(order)}
@@ -137,27 +135,48 @@ def _masks(P: BlockPartitionKN):
     return mask
 
 
+def _submasks(em: int) -> Iterator[int]:
+    sub = em
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & em
+
+
+def _subset(v: int, t: int) -> bool:
+    return v & ~t == 0
+
+
+@lru_cache(maxsize=16)
+def _section_context(P: BlockPartitionKN):
+    """The kernel's tables for P, its sections in enumerate_sections order, and its mask function.
+
+    Keys are point masks, so the space maps each section's mask to itself.
+    The candidates are the complete sections, and below[F] is the mask of
+    those that contain F.
+    """
+    mask = _masks(P)
+    sections = tuple(enumerate_sections(P))
+    keys = [mask(F) for F in sections]
+    complete = tuple(F for F in sections if len(F) == P.k)
+    ctx = _lemma_context(dict(zip(keys, keys)), complete, lambda E: _submasks(mask(E)), _subset)
+    return ctx, sections, mask
+
+
+def _check_table(e: SectionMapTable, P: BlockPartitionKN) -> dict[frozenset, frozenset]:
+    table = e.as_dict()
+    missing = [s for s in _section_context(P)[1] if s not in table]
+    if missing:
+        raise DomainError(f"map is not total: {len(missing)} sections unmapped")
+    return table
+
+
 def find_section_witness(e: SectionMapTable, P: BlockPartitionKN) -> Optional[frozenset]:
     """Least complete section all of whose subsets satisfy the condition."""
     table = _check_table(e, P)
-    mask = _masks(P)
-    emask = {mask(f): mask(v) for f, v in table.items()}
-    for E in enumerate_sections(P, complete_only=True):
-        em = mask(E)
-        ok = True
-        # walk the subsets of E via the standard submask loop
-        sub = em
-        while True:
-            v = emask[sub]
-            if not (v & ~sub == 0 or v & ~em != 0):
-                ok = False
-                break
-            if sub == 0:
-                break
-            sub = (sub - 1) & em
-        if ok:
-            return E
-    return None
+    ctx, _, mask = _section_context(P)
+    return _witness(ctx, _kill_masks(ctx, {mask(F): mask(v) for F, v in table.items()}))
 
 
 def _witness_valid(table, E: frozenset) -> bool:
@@ -202,11 +221,8 @@ def _random_table(P: BlockPartitionKN, seed: int, sample_index: int) -> SectionM
     """Uniform value in the power set of the ground, per section."""
     rng = random.Random((seed << 32) ^ (sample_index * 0xC2B2AE35 + 5))
     order = sorted(P.ground)
-    entries = []
-    for F in enumerate_sections(P):
-        v = frozenset(p for p in order if rng.random() < 0.5)
-        entries.append((F, v))
-    return SectionMapTable(tuple(entries))
+    sections = _section_context(P)[1]
+    return SectionMapTable(tuple((F, frozenset(p for p in order if rng.random() < 0.5)) for F in sections))
 
 
 def verify_tree(k: int, N: int, strategy: Strategy) -> WitnessReport:
@@ -217,9 +233,9 @@ def verify_tree(k: int, N: int, strategy: Strategy) -> WitnessReport:
     """
     start = time.perf_counter()
     P = equal_block_partition(k, N)
+    ctx, sections, _ = _section_context(P)
     ct = P.complete_section_count()
     bound = section_bound(k, N)
-    sections = list(enumerate_sections(P))
     ground = sorted(P.ground)
 
     def assign(combo):
@@ -242,12 +258,9 @@ def verify_tree(k: int, N: int, strategy: Strategy) -> WitnessReport:
     bound_respected = True
     for e in tables:
         tested += 1
-        table = _check_table(e, P)
-        witness = find_section_witness(e, P)
-        bad_sections = 0
-        for E in enumerate_sections(P, complete_only=True):
-            if not _witness_valid(table, E):
-                bad_sections += 1
+        witness = find_section_witness(e, P)  # checks that e is total
+        table = e.as_dict()
+        bad_sections = sum(not _witness_valid(table, E) for E in ctx.candidates)
         ratio = Fraction(bad_sections, ct)
         max_ratio = max(max_ratio, ratio)
         if bound <= 1 and ratio > bound:

@@ -6,11 +6,13 @@ e(t) <= t or e(t) !<= s.  The engines do exhaustive, sampled, and greedy
 adversarial campaigns, census bad pairs exactly, and run single fusion
 steps of the canonization construction.
 
-One bitmask kernel evaluates the lemma condition for both candidate
-families, the comb campaigns' equipartitions and the fusion step's
-Q^m(mprime): per map, each relevant t yields the mask of candidates that
-e(t) invalidates, and the witness, the bad-pair census and the
-counterexample shape are all read off those masks.
+One bitmask kernel evaluates the lemma condition for three candidate
+families: the comb campaigns' equipartitions and the fusion step's
+Q^m(mprime), both ordered by coarsening, and the section lemma's complete
+sections, ordered by inclusion (built in the tree module).  Per map, each
+relevant t yields the mask of candidates that e(t) invalidates, and the
+witness, the bad-pair census and the counterexample shape are all read
+off those masks.
 
 Every returned witness is re-validated by an independent scan that
 shares no enumeration path with the search: the down-set of the witness
@@ -21,7 +23,6 @@ members is checked against the lemma condition.
 from __future__ import annotations
 
 import json
-import os
 import random
 import time
 from dataclasses import dataclass, replace
@@ -68,10 +69,6 @@ __all__ = [
 ]
 
 _SPACE_CAP = 500_000
-
-
-def _budget_cap() -> int:
-    return int(os.environ.get("LAB_BUDGET_CAP", "1000000"))
 
 
 @lru_cache(maxsize=32)
@@ -145,13 +142,13 @@ class EMapTable:
 def _non_negative(strategy, *names: str) -> None:
     for name in names:
         value = getattr(strategy, name)
-        if value is not None and value < 0:
+        if value < 0:
             raise DomainError(f"{type(strategy).__name__} {name} must be >= 0, got {value}")
 
 
 @dataclass(frozen=True)
 class Exhaustive:
-    cap: Optional[int] = None
+    cap: int = 1_000_000
 
     def __post_init__(self):
         _non_negative(self, "cap")
@@ -196,20 +193,22 @@ def map_stream(
     """The maps a campaign tests, and the seed its report records.
 
     Exhaustive maps give each of `slots` arguments one of `choices` values,
-    built by assign(combo) and capped by the strategy or LAB_BUDGET_CAP.
-    Sampled and adversarial map i is sample(seed, i) or adversary(seed, i);
-    a campaign without an adversary rejects the adversarial strategy.
+    built by assign(combo), and are capped by the strategy's cap.  Sampled
+    and adversarial map i is sample(seed, i) or adversary(seed, i).  This
+    is the one place a campaign without an adversary, such as the section
+    lemma's, rejects the adversarial strategy.
     """
     if isinstance(strategy, Exhaustive):
-        cap = strategy.cap if strategy.cap is not None else _budget_cap()
         total = choices**slots
-        if total > cap:
-            raise BudgetError(f"{total} adversary maps exceed the exhaustive cap of {cap}")
+        if total > strategy.cap:
+            raise BudgetError(f"{total} adversary maps exceed the exhaustive cap of {strategy.cap}")
         return map(assign, product(range(choices), repeat=slots)), None
     if isinstance(strategy, Sampled):
         indices = range(strategy.start, strategy.start + strategy.count)
         return (sample(strategy.seed, i) for i in indices), strategy.seed
-    if isinstance(strategy, Adversarial) and adversary is not None:
+    if isinstance(strategy, Adversarial):
+        if adversary is None:
+            raise DomainError("adversarial strategy needs an adversary; this campaign has none")
         return (adversary(strategy.seed, i) for i in range(strategy.budget)), strategy.seed
     raise DomainError(f"unknown strategy {strategy!r}")
 
@@ -219,26 +218,38 @@ def map_stream(
 
 @dataclass(frozen=True, eq=False)  # hashed by identity, so _greedy_scores can cache per context
 class _LemmaContext:
-    space: tuple[tuple[int, ...], ...]
-    candidates: tuple[tuple[int, ...], ...]
-    coars: tuple[tuple[int, ...], ...]  # per candidate: indices of its coarsenings
-    relevant: tuple[int, ...]  # indices of t coarsening at least one candidate
+    space: Union[tuple, dict]  # key -> the element it stands for
+    candidates: tuple
+    coars: tuple[tuple[int, ...], ...]  # per candidate: keys of the elements below it
+    relevant: tuple[int, ...]  # keys of the t below at least one candidate
     below: dict[int, int]  # per relevant v: bitmask of the candidates s with v <= s
+    leq: Callable  # the order on elements: rgs_leq, or inclusion of point masks
 
 
-def _lemma_context(n: int, candidates: tuple[tuple[int, ...], ...]) -> _LemmaContext:
-    """The kernel's tables for one candidate family over Q(n), in the family's order."""
-    index = _space_index(n)
-    coars = []
+def _lemma_context(space, candidates: tuple, down: Callable, leq: Callable) -> _LemmaContext:
+    """The kernel's tables for one candidate family, in the family's order.
+
+    down(s) gives the keys of the elements below candidate s, and leq(v, t)
+    compares two elements of space.
+    """
+    coars = tuple(tuple(down(s)) for s in candidates)
     below: dict[int, int] = {}
-    for ci, s in enumerate(candidates):
-        idxs = tuple(index[t.rgs] for t in coarsenings_of(SetPartition(s)))
-        coars.append(idxs)
-        for ti in idxs:
+    for ci, keys in enumerate(coars):
+        for ti in keys:
             below[ti] = below.get(ti, 0) | 1 << ci
     relevant = tuple(sorted(below))
-    below = {ti: below[ti] for ti in relevant}
-    return _LemmaContext(partition_space(n), candidates, tuple(coars), relevant, below)
+    return _LemmaContext(space, candidates, coars, relevant, {ti: below[ti] for ti in relevant}, leq)
+
+
+def _partition_context(n: int, candidates: tuple[tuple[int, ...], ...]) -> _LemmaContext:
+    """Candidates from Q(n), keyed by lex index and ordered by coarsening."""
+    index = _space_index(n)
+    return _lemma_context(
+        partition_space(n),
+        candidates,
+        lambda s: (index[t.rgs] for t in coarsenings_of(SetPartition(s))),
+        rgs_leq,
+    )
 
 
 @lru_cache(maxsize=16)
@@ -246,35 +257,37 @@ def _comb_context(k: int, m: int, N: int) -> _LemmaContext:
     """The comb campaigns' candidates: equipartitions of kN points separating the first m."""
     if not 0 <= m <= k or k < 1 or N < 1:
         raise DomainError(f"need 1 <= k, 1 <= N, 0 <= m <= k; got k={k}, m={m}, N={N}")
-    return _lemma_context(k * N, tuple(iter_equipartition_rgs(k, N, m)))
+    return _partition_context(k * N, tuple(iter_equipartition_rgs(k, N, m)))
 
 
 @lru_cache(maxsize=16)
 def _fusion_context(m: int, mprime: int) -> _LemmaContext:
     """The fusion step's candidates: all of Q^m(mprime)."""
-    return _lemma_context(mprime, tuple(iter_rgs(mprime, m)))
+    return _partition_context(mprime, tuple(iter_rgs(mprime, m)))
 
 
-def _kill_masks(ctx: _LemmaContext, values: tuple[int, ...]) -> dict[int, int]:
+def _kill_masks(ctx: _LemmaContext, values) -> dict[int, int]:
     """The lemma kernel: per relevant t, the candidates s that e(t) invalidates.
 
-    (s, t) is a bad pair when t <= s, e(t) <= s and e(t) !<= t, so the
-    mask is below[t] & below[e(t)] unless e(t) <= t.  Only nonzero masks
-    are kept; a candidate is a witness iff no mask has its bit.
+    values maps each key t to the key of e(t).  (s, t) is a bad pair when
+    t <= s, e(t) <= s and e(t) !<= t, so the mask is below[t] & below[e(t)]
+    unless e(t) <= t; a value below no candidate kills nothing.  Only
+    nonzero masks are kept; a candidate is a witness iff no mask has its bit.
     """
     space = ctx.space
     below = ctx.below
+    leq = ctx.leq
     kills = {}
     for ti, above_t in below.items():
         vi = values[ti]
         mask = above_t & below.get(vi, 0)
-        if mask and not rgs_leq(space[vi], space[ti]):
+        if mask and not leq(space[vi], space[ti]):
             kills[ti] = mask
     return kills
 
 
-def _witness(ctx: _LemmaContext, kills: dict[int, int]) -> Optional[tuple[int, ...]]:
-    """Lexicographically least candidate no kill mask hits, or None."""
+def _witness(ctx: _LemmaContext, kills: dict[int, int]):
+    """The first candidate, in the family's order, that no kill mask hits, or None."""
     killed = 0
     for mask in kills.values():
         killed |= mask
@@ -384,6 +397,7 @@ def _sample_values(ctx: _LemmaContext, seed: int, sample_index: int) -> tuple[in
 def _greedy_scores(ctx: _LemmaContext) -> dict[int, list[tuple[int, int]]]:
     """For each relevant t: value indices with maximal invalidation score."""
     space = ctx.space
+    leq = ctx.leq
     best: dict[int, list[tuple[int, int]]] = {}
     for ti, above_t in ctx.below.items():
         t = space[ti]
@@ -392,7 +406,7 @@ def _greedy_scores(ctx: _LemmaContext) -> dict[int, list[tuple[int, int]]]:
         # score > 0 needs v <= some candidate, so v is relevant
         for vi, below_v in ctx.below.items():
             score = (above_t & below_v).bit_count()
-            if score == 0 or score < top or rgs_leq(space[vi], t):
+            if score == 0 or score < top or leq(space[vi], t):
                 continue  # not maximal, or e(t) <= t, which never invalidates
             if score > top:
                 top = score
@@ -562,15 +576,7 @@ def min_threshold_comb(
 # -- fusion -------------------------------------------------------------------
 
 
-FTable = Mapping[Union[str, PartitionPrefix], PartitionPrefix]
-
-
-def _normalize_ftable(f_table: FTable) -> dict[str, PartitionPrefix]:
-    out = {}
-    for key, val in f_table.items():
-        text = key.to_text() if isinstance(key, PartitionPrefix) else str(key)
-        out[text] = val
-    return out
+FTable = Mapping[str, PartitionPrefix]  # keyed by PartitionPrefix.to_text()
 
 
 def fusion_step(
@@ -591,11 +597,10 @@ def fusion_step(
     m = n0 + ell + 1
     if m > mprime:
         raise DomainError(f"need n0+ell+1 <= mprime, got {m} > {mprime}")
-    table = _normalize_ftable(f_table)
 
     def induced(t: SetPartition) -> SetPartition:
         A = induced_coarsening_h(t, B, mprime)
-        C = table.get(A.to_text())
+        C = f_table.get(A.to_text())
         if C is None:
             raise DomainError(f"f_table is not defined on {A.to_text()}")
         return project_g(C, B, mprime)
@@ -632,11 +637,11 @@ def fusion_conditions_hold(
     cond1 = approx_r(B_new, n0 + ell) == approx_r(B_old, n0 + ell)
     cond2 = True
     r_m = approx_r(B_new, m)
-    for key, fA in _normalize_ftable(f_table).items():
+    mu_new = mu_sequence(B_new)
+    for key, fA in f_table.items():
         A = PartitionPrefix.from_text(key)
         if not prefix_is_coarsening(A, B_new):
             continue
-        mu_new = mu_sequence(B_new)
         if m >= len(mu_new) or mu_new[m] not in mu_sequence(A):
             continue
         tr_f = trace(fA, B_new, m).partition

@@ -134,6 +134,11 @@ class TestVerify:
         )
         assert code == 3
 
+    def test_tree_rejects_adversarial_strategy(self, capsys):
+        code = main(["verify-tree", "--k", "2", "--N", "2", "--strategy", "adversarial:5:1"])
+        assert code == 2
+        assert "adversarial strategy needs an adversary; this campaign has none" in capsys.readouterr().err
+
     def test_reports_deterministic_up_to_timing(self, capsys):
         args = (
             "verify-comb", "--k", "2", "--m", "2", "--N", "2",

@@ -17,7 +17,7 @@ from partlab.tree import (
     verify_tree,
     witness_via_equal_blocks,
 )
-from partlab.tree import _random_table
+from partlab.tree import _masks, _random_table, _section_context
 from partlab.witness import Exhaustive, Sampled
 
 
@@ -97,6 +97,63 @@ class TestFindSectionWitness:
             find_section_witness(table, P)
 
 
+# -- the lemma condition by a per-map submask walk: an oracle for the kernel --
+
+
+def reference_find_section_witness(e, P):
+    """Least complete section E whose every subset F has e(F) <= F or e(F) !<= E."""
+    mask = _masks(P)
+    emask = {mask(f): mask(v) for f, v in e.as_dict().items()}
+    for E in enumerate_sections(P, complete_only=True):
+        em = mask(E)
+        sub = em
+        while True:
+            v = emask[sub]
+            if not (v & ~sub == 0 or v & ~em != 0):
+                break
+            if sub == 0:
+                return E
+            sub = (sub - 1) & em
+    return None
+
+
+def oracle_maps(P, seed):
+    """Seeded random maps, onto point sets and onto sections, and three fixed families."""
+    rng = random.Random(seed)
+    sections = list(enumerate_sections(P))
+    X = P.ground
+    maps = [_random_table(P, seed, i) for i in range(20)]
+    maps += [SectionMapTable(tuple((F, rng.choice(sections)) for F in sections)) for _ in range(40)]
+    maps.append(SectionMapTable(tuple((F, F) for F in sections)))
+    maps.append(SectionMapTable(tuple((F, X - F) for F in sections)))
+    maps += [SectionMapTable(tuple((F, F | {p}) for F in sections)) for p in sorted(X)]
+    return maps
+
+
+ORACLE_PARTITIONS = [
+    equal_block_partition(k, N) for k, N in [(1, 1), (1, 3), (2, 1), (2, 2), (2, 3), (3, 2), (2, 5)]
+] + [BlockPartitionKN((frozenset({3, 9}), frozenset({1, 4, 7}), frozenset({0, 20})), 2)]
+
+
+class TestSectionKernel:
+    def test_kernel_agrees_with_submask_walk(self):
+        verdicts = set()
+        for seed, P in enumerate(ORACLE_PARTITIONS):
+            for e in oracle_maps(P, seed):
+                witness = find_section_witness(e, P)
+                assert witness == reference_find_section_witness(e, P)
+                verdicts.add(witness is not None)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("P", ORACLE_PARTITIONS, ids=lambda P: str(sorted(map(sorted, P.blocks))))
+    def test_below_masks_are_the_containing_complete_sections(self, P):
+        ctx, sections, mask = _section_context(P)
+        assert ctx.candidates == tuple(enumerate_sections(P, complete_only=True))
+        assert sorted(ctx.below) == sorted(map(mask, sections))
+        for F in sections:
+            assert ctx.below[mask(F)] == sum(1 << ci for ci, E in enumerate(ctx.candidates) if F <= E)
+
+
 class TestBound:
     def test_closed_form(self):
         assert section_bound(2, 8) == Fraction(15, 16)
@@ -136,6 +193,11 @@ class TestVerifyTree:
     def test_budget_guard(self):
         with pytest.raises(BudgetError):
             verify_tree(2, 4, Exhaustive(cap=10))
+
+    def test_default_exhaustive_cap(self):
+        assert Exhaustive().cap == 1_000_000
+        with pytest.raises(BudgetError, match="cap of 1000000"):
+            verify_tree(2, 2, Exhaustive())  # 16**9 maps
 
     @pytest.mark.parametrize(
         "k, N, strategy, found",
