@@ -140,6 +140,8 @@ def cmd_count(args) -> int:
 
 
 def cmd_verify_comb(args) -> int:
+    if args.jobs < 1:
+        raise DomainError(f"--jobs must be >= 1, got {args.jobs}")
     strategy = _parse_strategy(args.strategy, args.samples, args.seed)
     if isinstance(strategy, Sampled) and (args.jobs > 1 or strategy.count > CHECKPOINT_EVERY):
         # chunks of CHECKPOINT_EVERY maps; a zero-map campaign is one empty chunk
@@ -164,12 +166,12 @@ def _restore_or_run(args, tasks: dict, run, jobs: int = 1) -> list[WitnessReport
     """run(task) for each task, in order, checkpointed to the --out state file.
 
     tasks maps each state key to its task.  A task whose key the state file
-    records is restored, not run; the others run, on a pool of `jobs`
-    processes when more than one is pending, and each report is recorded
-    as it arrives, so an interrupted run resumes where it stopped.  The
-    state file is bound to the run's configuration: one recorded for
-    another configuration is a usage error, so a report is never assembled
-    from another run's results.
+    records is restored, not run; the others run, on a pool of
+    min(jobs, pending) processes when more than one is pending, and each
+    report is recorded as it arrives, so an interrupted run resumes where
+    it stopped.  The state file is bound to the run's configuration: one
+    recorded for another configuration is a usage error, so a report is
+    never assembled from another run's results.
     """
     config = {k: v for k, v in _config_dict(args).items() if k not in ("out", "format", "jobs")}
     config["checkpoint_every"] = CHECKPOINT_EVERY
@@ -191,7 +193,7 @@ def _restore_or_run(args, tasks: dict, run, jobs: int = 1) -> list[WitnessReport
         if jobs > 1 and len(pending) > 1:
             import concurrent.futures
 
-            pool = concurrent.futures.ProcessPoolExecutor(max_workers=jobs)
+            pool = concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(pending)))
             run_all = stack.enter_context(pool).map
         for key, rep in zip(pending, run_all(run, pending.values())):
             done[key] = rep.to_json_dict()
@@ -241,6 +243,8 @@ def cmd_find_threshold(args) -> int:
 
 
 def cmd_entropy_check(args) -> int:
+    if args.b_max < 1:
+        raise DomainError(f"--b-max must be >= 1, got {args.b_max}")
     bad = []
     for b in range(1, args.b_max + 1):
         for a in range(b + 1):

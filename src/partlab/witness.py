@@ -281,7 +281,9 @@ def _kill_masks(ctx: _LemmaContext, values) -> dict[int, int]:
     for ti, above_t in below.items():
         vi = values[ti]
         mask = above_t & below.get(vi, 0)
-        if mask and not leq(space[vi], space[ti]):
+        # e(t) <= t gives below[e(t)] >= below[t] by transitivity, so any
+        # other mask already means e(t) !<= t and the order need not be asked
+        if mask and (mask != above_t or not leq(space[vi], space[ti])):
             kills[ti] = mask
     return kills
 
@@ -317,9 +319,9 @@ def _blocking_shape(ctx: _LemmaContext, values: tuple[int, ...], kills: dict[int
 
 
 @lru_cache(maxsize=1024)
-def _down_set(n: int, s: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+def _down_set(n: int, s: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
     """Every t <= s, found by testing each t in Q(n) from scratch."""
-    return tuple(t for t in iter_rgs(n) if rgs_leq(t, s))
+    return frozenset(t for t in iter_rgs(n) if rgs_leq(t, s))
 
 
 def witness_is_valid(e: EMapTable, s: SetPartition, m: int) -> bool:
@@ -327,14 +329,19 @@ def witness_is_valid(e: EMapTable, s: SetPartition, m: int) -> bool:
 
     Deliberately avoids the candidate/coarsening tables used by the
     search: the down-set of s is found by testing every t in Q(n), once
-    per s, and the lemma condition is checked pair by pair.
+    per s, and the lemma condition is checked pair by pair, with e(t) <= s
+    read as membership of e(t) in that down-set.
     """
     rgs = s.rgs
     if any(rgs[i] != i for i in range(min(m, len(rgs)))):
         return False
-    for t in _down_set(e.n, rgs):
-        v = e.apply_rgs(t)
-        if not rgs_leq(v, t) and rgs_leq(v, rgs):
+    space = partition_space(e.n)
+    index = _space_index(e.n)
+    values = e.values
+    down = _down_set(e.n, rgs)
+    for t in down:
+        v = space[values[index[t]]]
+        if v in down and not rgs_leq(v, t):
             return False
     return True
 
@@ -378,18 +385,27 @@ def bad_pairs(e: EMapTable, k: int, m: int, N: int) -> WitnessReport:
     )
 
 
-def _sample_values(ctx: _LemmaContext, seed: int, sample_index: int) -> tuple[int, ...]:
+def _sample_values(
+    ctx: _LemmaContext, rng: random.Random, seed: int, sample_index: int
+) -> tuple[int, ...]:
     """Uniform independent values on coarsening-relevant arguments.
 
     Irrelevant arguments keep the identity; they cannot occur in the
-    lemma condition for any candidate.  Each sample owns an independent
-    PRNG derived from (seed, index).
+    lemma condition for any candidate.  Each sample reseeds rng from
+    (seed, index), so its state is that of a fresh random.Random of that
+    seed, and draws each value as randrange(size) does: getrandbits of
+    size's bit length until the draw is below size.
     """
-    rng = random.Random((seed << 32) ^ (sample_index * 0x9E3779B9 + 1))
+    rng.seed((seed << 32) ^ (sample_index * 0x9E3779B9 + 1))
+    getrandbits = rng.getrandbits
     size = len(ctx.space)
+    bits = size.bit_length()
     values = list(range(size))
     for ti in ctx.relevant:
-        values[ti] = rng.randrange(size)
+        vi = getrandbits(bits)
+        while vi >= size:
+            vi = getrandbits(bits)
+        values[ti] = vi
     return tuple(values)
 
 
@@ -457,12 +473,13 @@ def verify_comb(k: int, m: int, N: int, strategy: Strategy) -> WitnessReport:
             values[ti] = vi
         return tuple(values)
 
+    rng = random.Random()  # reseeded for every sampled map
     stream, seed = map_stream(
         strategy,
         len(ctx.space),
         len(ctx.relevant),
         assign,
-        lambda seed, i: _sample_values(ctx, seed, i),
+        lambda seed, i: _sample_values(ctx, rng, seed, i),
         lambda seed, i: _adversarial_values(ctx, seed, i),
     )
 
@@ -563,6 +580,8 @@ def min_threshold_comb(
     """
     if not 0 <= m <= k:
         raise DomainError(f"need 0 <= m <= k, got m={m}, k={k}")
+    if N_max < 1:
+        raise DomainError(f"need N_max >= 1, got {N_max}")
     reports = []
     for N in range(1, N_max + 1):
         rep = campaign(k, m, N, search)

@@ -322,6 +322,57 @@ class TestCampaignRoundTrip:
         assert code == 0
         assert report["details"]["tested"] == 0
 
+    def test_pool_is_sized_to_the_pending_chunks(self, tmp_path, monkeypatch):
+        import concurrent.futures
+
+        sizes = []
+
+        class RecordingPool:  # runs in process, so no worker is ever started
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        single = _campaign_report(tmp_path, "single.json", (2, 2, 2), "sampled:20:1")
+        monkeypatch.setattr("partlab.cli.CHECKPOINT_EVERY", 7)
+        for jobs, expected in (("64", 3), ("2", 2)):
+            chunked = _campaign_report(tmp_path, f"jobs{jobs}.json", (2, 2, 2), "sampled:20:1", "--jobs", jobs)
+            assert chunked == single
+            assert sizes.pop() == expected
+        # one pending chunk runs in process, without a pool
+        state_path = tmp_path / "jobs64.json.state"
+        state = json.loads(state_path.read_text())
+        del state["done"]["7"]
+        state_path.write_text(json.dumps(state))
+        resumed = _campaign_report(tmp_path, "jobs64.json", (2, 2, 2), "sampled:20:1", "--jobs", "64")
+        assert resumed == single
+        assert sizes == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-comb", "--k", "2", "--m", "2", "--N", "1", "--jobs", "0"],
+            ["verify-comb", "--k", "2", "--m", "2", "--N", "1", "--jobs", "-3"],
+            ["find-threshold", "--k", "2", "--m", "2", "--n-max", "0"],
+            ["entropy-check", "--b-max", "-1"],
+            ["entropy-check", "--b-max", "0"],
+        ],
+        ids=" ".join,
+    )
+    def test_vacuous_size_is_usage_error(self, argv, tmp_path, capsys):
+        code = main(argv + ["--out", str(tmp_path / "out.json")])
+        assert code == 2
+        assert ">= 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []  # nothing ran, so nothing was written
+
     @pytest.mark.parametrize("strategy", ["sampled:-4:1", "adversarial:-1", "exhaustive:-1"])
     def test_negative_campaign_size_is_usage_error(self, strategy, capsys):
         code = main(["verify-comb", "--k", "2", "--m", "2", "--N", "1", "--strategy", strategy])

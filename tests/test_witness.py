@@ -41,6 +41,7 @@ from partlab.witness import (
     _fusion_context,
     _greedy_scores,
     _kill_masks,
+    _sample_values,
     _witness,
 )
 
@@ -344,7 +345,70 @@ class TestLemmaKernel:
             assert len(down) == len(set(down))
 
 
+def oracle_sample_values(ctx, seed, sample_index):
+    """A sampled map as a fresh random.Random per map and randrange draw it."""
+    rng = random.Random((seed << 32) ^ (sample_index * 0x9E3779B9 + 1))
+    size = len(ctx.space)
+    values = list(range(size))
+    for ti in ctx.relevant:
+        values[ti] = rng.randrange(size)
+    return tuple(values)
+
+
+class TestSampler:
+    @pytest.mark.parametrize(
+        "kmn,size", [((1, 0, 1), 1), ((2, 2, 1), 2), ((1, 0, 3), 5), ((2, 1, 2), 15), ((1, 0, 5), 52), ((3, 2, 2), 203)]
+    )
+    def test_draws_equal_a_fresh_generator_per_map(self, kmn, size):
+        ctx = _comb_context(*kmn)
+        assert len(ctx.space) == size
+        rng = random.Random()  # one generator for every map, as in a campaign
+        for seed in (0, 7, 2**40):
+            for i in range(51):
+                assert _sample_values(ctx, rng, seed, i) == oracle_sample_values(ctx, seed, i)
+
+
+def oracle_is_valid(e, s, m):
+    """The lemma condition for s, pair by pair over all of Q(n), by rgs_leq alone."""
+    if any(s[i] != i for i in range(min(m, len(s)))):
+        return False
+    space = list(iter_rgs(e.n))
+    for t, vi in zip(space, e.values):
+        v = space[vi]
+        if rgs_leq(t, s) and rgs_leq(v, s) and not rgs_leq(v, t):
+            return False
+    return True
+
+
 class TestWitnessIsValid:
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_agrees_with_pairwise_check_over_the_whole_space(self, n):
+        rng = random.Random(n)
+        space = list(iter_rgs(n))
+        index = {t: i for i, t in enumerate(space)}
+        size = len(space)
+        tops = [(0,) * n, tuple(range(n))] + rng.sample(space, 4)
+        verdicts = set()
+        for s in tops:
+            down = [t for t in space if rgs_leq(t, s)]
+            maps = [tuple(rng.randrange(size) for _ in range(size)) for _ in range(2)]
+            for _ in range(3):
+                # e(t) inside down(s) for every t <= s, about half of them also <= t
+                values = list(range(size))
+                for t in down:
+                    v = rng.choice(down)
+                    if rng.random() < 0.5 and not rgs_leq(v, t):
+                        v = t
+                    values[index[t]] = index[v]
+                maps.append(tuple(values))
+            for values in maps:
+                e = EMapTable(n, values)
+                for m in (0, 2):
+                    verdict = witness_is_valid(e, SetPartition(s), m)
+                    assert verdict == oracle_is_valid(e, s, m)
+                    verdicts.add(verdict)
+        assert verdicts == {True, False}
+
     def test_rejects_map_built_to_invalidate_s(self):
         k, m, N = 3, 2, 2
         ctx = _comb_context(k, m, N)
@@ -380,6 +444,18 @@ class TestMinThreshold:
         found, reports = min_threshold_comb(2, 2, Sampled(200, seed=1), 4)
         assert found == 2
         assert all(r.details["empirical"] for r in reports)
+
+    def test_empty_search_range_is_a_domain_error(self):
+        calls = []
+
+        def campaign(k, m, N, strategy):
+            calls.append(N)
+            return verify_comb(k, m, N, strategy)
+
+        for n_max in (0, -2):
+            with pytest.raises(DomainError):
+                min_threshold_comb(2, 2, Sampled(5, seed=1), n_max, campaign)
+        assert calls == []
 
     def test_any_strategy_and_campaign(self):
         calls = []
