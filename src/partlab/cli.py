@@ -79,7 +79,13 @@ def _emit(args, payload: str) -> None:
             if not payload.endswith("\n"):
                 fh.write("\n")
     else:
-        print(payload)
+        try:
+            print(payload, flush=True)
+        except BrokenPipeError:
+            # the reader is done: stdout goes to devnull so the shutdown flush cannot fail
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
 
 
 def _emit_doc(args, **fields) -> None:
@@ -143,6 +149,8 @@ def cmd_verify_comb(args) -> int:
     if args.jobs < 1:
         raise DomainError(f"--jobs must be >= 1, got {args.jobs}")
     strategy = _parse_strategy(args.strategy, args.samples, args.seed)
+    if args.jobs > 1 and not isinstance(strategy, Sampled):
+        raise DomainError(f"--jobs applies only to sampled strategies, got {args.strategy!r}")
     if isinstance(strategy, Sampled) and (args.jobs > 1 or strategy.count > CHECKPOINT_EVERY):
         # chunks of CHECKPOINT_EVERY maps; a zero-map campaign is one empty chunk
         chunks = [

@@ -145,30 +145,24 @@ def iter_rgs(n: int, m: int = 0) -> Iterator[tuple[int, ...]]:
     """All rgs of length n with points 0..m-1 in distinct blocks, lex order.
 
     Separating the first m points forces rgs[i] = i for i < m, so the
-    constraint is a fixed prefix.  Iterative successor computation; the
-    helper array b tracks prefix maxima.
+    constraint is a fixed prefix.  Built by last-slot expansion.
     """
     if n < 1:
         raise DomainError("domain size must be >= 1")
     if m < 0 or m > n:
         raise DomainError(f"need 0 <= m <= n, got m={m}, n={n}")
-    lo = m if m >= 2 else 1
-    a = list(range(lo)) + [0] * (n - lo)
-    b = [0] * n  # b[i] = max(a[0..i-1]) for i >= 1
-    for i in range(1, n):
-        b[i] = max(b[i - 1], a[i - 1])
-    while True:
-        yield tuple(a)
-        i = n - 1
-        while i >= lo and a[i] > b[i]:
-            i -= 1
-        if i < lo:
-            return
-        a[i] += 1
-        mx = b[i] if b[i] >= a[i] else a[i]
-        for j in range(i + 1, n):
-            a[j] = 0
-            b[j] = mx
+    yield from _extend_rgs(n, tuple(range(max(m, 1))))
+
+
+def _extend_rgs(n: int, base: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Every length-n rgs extending base: each one point shorter, in lex
+    order, extended by each value from 0 to one past its maximum."""
+    if n == len(base):
+        yield base
+        return
+    for prefix in _extend_rgs(n - 1, base):
+        for v in range(max(prefix) + 2):
+            yield prefix + (v,)
 
 
 def enumerate_partitions(n: int, m: int = 0) -> Iterator[SetPartition]:
@@ -191,24 +185,13 @@ def iter_equipartition_rgs(k: int, N: int, m: int = 0) -> Iterator[tuple[int, ..
         if i == n:
             yield tuple(a)
             return
-        if i < m:
-            # canonical form forces each of the first m points to open a block
-            a[i] = i
-            counts[i] += 1
-            yield from rec(i + 1, max(used, i + 1))
-            counts[i] -= 1
-            return
-        for j in range(used):
+        # canonical form forces each of the first m points to open a block
+        for j in range(used if i < m else 0, used + (used < k)):
             if counts[j] < N:
                 a[i] = j
                 counts[j] += 1
-                yield from rec(i + 1, used)
+                yield from rec(i + 1, used + (j == used))
                 counts[j] -= 1
-        if used < k:
-            a[i] = used
-            counts[used] += 1
-            yield from rec(i + 1, used + 1)
-            counts[used] -= 1
 
     yield from rec(0, 0)
 
@@ -256,11 +239,15 @@ def count_equipartitions(k: int, N: int) -> int:
 
 
 def coarsenings_of(s: SetPartition) -> Iterator[SetPartition]:
-    """All t <= s, by merging s-blocks along every partition of the block set."""
+    """All t <= s, by merging s-blocks along every partition of the block set.
+
+    s numbers its blocks by first occurrence and q is an rgs, so the
+    composition q[s[i]] is already canonical.
+    """
     k = s.num_blocks
     if k == 0:
         yield s
         return
     srgs = s.rgs
     for q in iter_rgs(k):
-        yield _trusted(relabel_canonical(q[v] for v in srgs))
+        yield _trusted(tuple(q[v] for v in srgs))

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -73,6 +74,15 @@ class TestVerify:
             main([subcommand, "--k", "2", "--N", "3", "--jobs", "2"])
         assert exc.value.code == 2
         assert "--jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "strategy, code",
+        [("exhaustive", 2), ("adversarial:5:1", 2), ("sampled:1:7", 0)],
+    )
+    def test_jobs_only_with_sampled_strategy(self, strategy, code, capsys):
+        argv = ["verify-comb", "--k", "2", "--m", "2", "--N", "2", "--strategy", strategy, "--jobs", "2"]
+        assert main(argv) == code
+        assert ("--jobs" in capsys.readouterr().err) == (code == 2)
 
     @pytest.mark.parametrize(
         "argv",
@@ -437,3 +447,17 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "52"
+
+    def test_closed_stdout_keeps_the_verdict(self):
+        argv = ["verify-comb", "--k", "2", "--m", "2", "--N", "2", "--strategy", "adversarial:5:1"]
+        verdict = main(argv)
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the first write
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "partlab.cli", *argv], stdout=write_end, stderr=subprocess.PIPE,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == verdict
+        assert proc.stderr == b""

@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import pytest
@@ -13,6 +14,8 @@ from partlab.partitions import (
     enumerate_equipartitions,
     enumerate_partitions,
     is_coarsening,
+    iter_equipartition_rgs,
+    iter_rgs,
     meet_refine,
     relabel_canonical,
     rgs_is_valid,
@@ -139,6 +142,35 @@ class TestEquipartitions:
     def test_m_above_k_rejected(self):
         with pytest.raises(DomainError):
             list(enumerate_equipartitions(2, 2, 3))
+
+
+class TestEnumerationOracles:
+    """Each generator against an oracle that shares none of its code."""
+
+    def test_iter_rgs_equals_relabelled_words(self):
+        for n in range(1, 7):
+            words = list(itertools.product(range(n), repeat=n))
+            for m in range(n + 1):
+                expect = sorted({relabel_canonical(w) for w in words if len(set(w[:m])) == m})
+                got = list(iter_rgs(n, m))
+                assert got == expect
+                assert all(rgs_is_valid(r) for r in got)
+
+    def test_equipartitions_filter_iter_rgs(self):
+        for k in range(1, 9):
+            for N in range(1, 8 // k + 1):
+                for m in range(k + 1):
+                    expect = [
+                        r for r in iter_rgs(k * N, m)
+                        if sorted(collections.Counter(r).values()) == [N] * k
+                    ]
+                    assert list(iter_equipartition_rgs(k, N, m)) == expect
+
+    def test_coarsenings_are_canonical(self):
+        for n in range(1, 8):
+            for s in enumerate_partitions(n):
+                for t in coarsenings_of(s):
+                    assert relabel_canonical(t.rgs) == t.rgs
 
 
 class TestCoarseningOrder:
