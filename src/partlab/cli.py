@@ -26,6 +26,8 @@ from .partitions import (
     count_partitions,
     enumerate_equipartitions,
     enumerate_partitions,
+    iter_equipartition_rgs,
+    iter_rgs,
 )
 from .prefixes import PartitionPrefix, induced_coarsening_h
 from .reports import WitnessReport, json_text
@@ -133,10 +135,10 @@ def cmd_count(args) -> int:
     elif args.k is not None and args.N is not None:
         value = count_equipartitions(args.k, args.N)
         if args.m:
-            value = sum(1 for _ in enumerate_equipartitions(args.k, args.N, args.m))
+            value = sum(1 for _ in iter_equipartition_rgs(args.k, args.N, args.m))
     elif args.n is not None:
         if args.m:
-            value = sum(1 for _ in enumerate_partitions(args.n, args.m))
+            value = sum(1 for _ in iter_rgs(args.n, args.m))
         else:
             value = count_partitions(args.n)
     else:

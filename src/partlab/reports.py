@@ -41,57 +41,78 @@ def json_text(doc: Any) -> str:
 
     With ``indent`` set, ``json`` falls back to its pure-Python encoder.
     Here strings and keys still go through its C escaper, scalars follow
-    its rules, and each container is one join, copied once into its
-    brackets.  Counterexample shapes repeat a few thousand distinct
-    (t, e(t)) entries many times over, so each distinct tuple is rendered
-    once per depth.  The memo is keyed by the tuple's marshal bytes, not
-    by the tuple: 1 == True and 0 == 0.0 hash alike but print differently,
-    whereas marshal tells exact types apart and refuses subclasses, which
-    are then rendered unmemoised.  Document keys are strings; any other
-    key raises TypeError.
+    its rules, and every fragment is appended to one list that is joined
+    once, so no container's text is copied into its parent's.
+    Counterexample shapes repeat a few thousand distinct (t, e(t)) entries
+    many times over, so each distinct tuple is rendered once per depth and
+    its joined text reused.  The memo is keyed by the tuple's marshal
+    bytes, not by the tuple: 1 == True and 0 == 0.0 hash alike but print
+    differently, whereas marshal tells exact types apart and refuses
+    subclasses, which are then rendered unmemoised.  Document keys are
+    strings; any other key raises TypeError.
     """
     memo: dict[tuple[str, bytes], str] = {}
+    out: list[str] = []
+    append = out.append
 
-    def render(o, nl: str) -> str:
-        if isinstance(o, str):
-            return _json_str(o)
-        if o is None:
-            return "null"
-        if o is True:
-            return "true"
-        if o is False:
-            return "false"
-        if isinstance(o, int):
-            return int.__repr__(o)
-        if isinstance(o, float):
-            return _float_text(o)
+    def array(o, nl: str) -> None:
+        if not o:
+            append("[]")
+            return
         inner = nl + "  "
-        if isinstance(o, (list, tuple)):
-            if not o:
-                return "[]"
-            key = None
-            if type(o) is tuple:
-                try:
-                    key = (nl, marshal.dumps(o, 2))
-                except ValueError:
-                    pass
-                else:
-                    text = memo.get(key)
-                    if text is not None:
-                        return text
-            body = ("," + inner).join([render(v, inner) for v in o])
-            text = f"[{inner}{body}{nl}]"
-            if key is not None:
-                memo[key] = text
-            return text
-        if isinstance(o, dict):
-            if not o:
-                return "{}"
-            body = ("," + inner).join([_json_str(k) + ": " + render(v, inner) for k, v in sorted(o.items())])
-            return f"{{{inner}{body}{nl}}}"
-        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+        comma = "," + inner
+        sep = "[" + inner
+        for v in o:
+            append(sep)
+            render(v, inner)
+            sep = comma
+        append(nl + "]")
 
-    return render(doc, "\n")
+    def render(o, nl: str) -> None:
+        if type(o) is tuple:  # the bulk of a document with shapes
+            try:
+                key = (nl, marshal.dumps(o, 2))
+            except ValueError:
+                array(o, nl)
+                return
+            text = memo.get(key)
+            if text is None:
+                start = len(out)
+                array(o, nl)
+                text = memo[key] = "".join(out[start:])
+                del out[start:]
+            append(text)
+        elif isinstance(o, str):
+            append(_json_str(o))
+        elif o is None:
+            append("null")
+        elif o is True:
+            append("true")
+        elif o is False:
+            append("false")
+        elif isinstance(o, int):
+            append(int.__repr__(o))
+        elif isinstance(o, float):
+            append(_float_text(o))
+        elif isinstance(o, (list, tuple)):
+            array(o, nl)
+        elif isinstance(o, dict):
+            if not o:
+                append("{}")
+                return
+            inner = nl + "  "
+            comma = "," + inner
+            sep = "{" + inner
+            for k, v in sorted(o.items()):
+                append(sep + _json_str(k) + ": ")
+                render(v, inner)
+                sep = comma
+            append(nl + "}")
+        else:
+            raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+    render(doc, "\n")
+    return "".join(out)
 
 
 @dataclass

@@ -312,10 +312,9 @@ def _census(ctx: _LemmaContext, kills: dict[int, int]) -> dict[tuple[int, ...], 
     return per
 
 
-def _blocking_shape(ctx: _LemmaContext, values: tuple[int, ...], kills: dict[int, int]) -> frozenset:
-    """The entries of e that invalidate candidates: the failing map's shape."""
-    space = ctx.space
-    return frozenset({(space[ti], space[values[ti]]) for ti in kills})
+def _blocking_shape(values: tuple[int, ...], kills: dict[int, int]) -> frozenset[tuple[int, int]]:
+    """The entries of e that invalidate candidates, the failing map's shape, as key pairs."""
+    return frozenset([(ti, values[ti]) for ti in kills])
 
 
 @lru_cache(maxsize=1024)
@@ -386,21 +385,22 @@ def bad_pairs(e: EMapTable, k: int, m: int, N: int) -> WitnessReport:
 
 
 def _sample_values(
-    ctx: _LemmaContext, rng: random.Random, seed: int, sample_index: int
+    ctx: _LemmaContext, identity: tuple[int, ...], rng: random.Random, seed: int, sample_index: int
 ) -> tuple[int, ...]:
     """Uniform independent values on coarsening-relevant arguments.
 
-    Irrelevant arguments keep the identity; they cannot occur in the
-    lemma condition for any candidate.  Each sample reseeds rng from
-    (seed, index), so its state is that of a fresh random.Random of that
-    seed, and draws each value as randrange(size) does: getrandbits of
-    size's bit length until the draw is below size.
+    Irrelevant arguments keep their value in identity, the campaign's
+    tuple(range(size)); they cannot occur in the lemma condition for any
+    candidate.  Each sample reseeds rng from (seed, index), so its state
+    is that of a fresh random.Random of that seed, and draws each value
+    as randrange(size) does: getrandbits of size's bit length until the
+    draw is below size.
     """
     rng.seed((seed << 32) ^ (sample_index * 0x9E3779B9 + 1))
     getrandbits = rng.getrandbits
-    size = len(ctx.space)
+    size = len(identity)
     bits = size.bit_length()
-    values = list(range(size))
+    values = list(identity)
     for ti in ctx.relevant:
         vi = getrandbits(bits)
         while vi >= size:
@@ -433,24 +433,41 @@ def _greedy_scores(ctx: _LemmaContext) -> dict[int, list[tuple[int, int]]]:
     return best
 
 
-def _adversarial_values(ctx: _LemmaContext, seed: int, map_index: int) -> tuple[int, ...]:
+@lru_cache(maxsize=16)
+def _greedy_ties(ctx: _LemmaContext) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(t, its maximally invalidating values in score order) for each t that has any."""
+    best = _greedy_scores(ctx)
+    return tuple((ti, tuple(vi for _, vi in best[ti])) for ti in ctx.relevant if best[ti])
+
+
+def _adversarial_values(
+    ctx: _LemmaContext, identity: tuple[int, ...], rng: random.Random, seed: int, map_index: int
+) -> tuple[int, ...]:
     """Greedy adversary: per argument, a maximally invalidating value.
 
     Map 0 is the pure greedy with lexicographic-least tie-break; later
     maps break argmax ties with a seeded PRNG so the budget probes
-    different corners of the tie set.  Results are a lower bound on
-    adversarial difficulty.
+    different corners of the tie set.  Each map reseeds rng from (seed,
+    index) and draws each tie as Random.choice does, getrandbits of the
+    tie count's bit length until the draw is below the count, so a tie
+    of one value still consumes its draw.  Arguments without a tie keep
+    their value in identity.  Results are a lower bound on adversarial
+    difficulty.
     """
-    rng = random.Random((seed << 32) ^ (map_index * 0x85EBCA6B + 3))
-    best = _greedy_scores(ctx)
-    values = list(range(len(ctx.space)))
-    for ti in ctx.relevant:
-        choices = best[ti]
-        if choices:
-            if map_index == 0:
-                values[ti] = min(vi for _, vi in choices)
-            else:
-                values[ti] = rng.choice(choices)[1]
+    values = list(identity)
+    if map_index == 0:
+        for ti, ties in _greedy_ties(ctx):
+            values[ti] = min(ties)
+        return tuple(values)
+    rng.seed((seed << 32) ^ (map_index * 0x85EBCA6B + 3))
+    getrandbits = rng.getrandbits
+    for ti, ties in _greedy_ties(ctx):
+        count = len(ties)
+        bits = count.bit_length()
+        r = getrandbits(bits)
+        while r >= count:
+            r = getrandbits(bits)
+        values[ti] = ties[r]
     return tuple(values)
 
 
@@ -467,25 +484,27 @@ def verify_comb(k: int, m: int, N: int, strategy: Strategy) -> WitnessReport:
     ctx = _comb_context(k, m, N)
     n_cands = len(ctx.candidates)
 
+    identity = tuple(range(len(ctx.space)))  # per campaign, not cached: Q(9) has 21147 keys
+
     def assign(combo):
-        values = list(range(len(ctx.space)))
+        values = list(identity)
         for ti, vi in zip(ctx.relevant, combo):
             values[ti] = vi
         return tuple(values)
 
-    rng = random.Random()  # reseeded for every sampled map
+    rng = random.Random()  # reseeded for every sampled or adversarial map
     stream, seed = map_stream(
         strategy,
-        len(ctx.space),
+        len(identity),
         len(ctx.relevant),
         assign,
-        lambda seed, i: _sample_values(ctx, rng, seed, i),
-        lambda seed, i: _adversarial_values(ctx, seed, i),
+        lambda seed, i: _sample_values(ctx, identity, rng, seed, i),
+        lambda seed, i: _adversarial_values(ctx, identity, rng, seed, i),
     )
 
     tested = 0
     failures = 0
-    shapes: list[frozenset] = []
+    shapes: dict[frozenset[tuple[int, int]], None] = {}  # insertion-ordered set
     worst_bad = -1
     worst_kills: dict[int, int] = {}
     worst_witness: Optional[tuple[int, ...]] = None
@@ -497,9 +516,7 @@ def verify_comb(k: int, m: int, N: int, strategy: Strategy) -> WitnessReport:
         bad = _bad_count(kills)
         if witness is None:
             failures += 1
-            shape = _blocking_shape(ctx, values, kills)
-            if shape not in shapes:
-                shapes.append(shape)
+            shapes[_blocking_shape(values, kills)] = None
             if bad < n_cands:
                 pigeonhole_ok = False  # would contradict the counting chain
         else:
@@ -512,6 +529,7 @@ def verify_comb(k: int, m: int, N: int, strategy: Strategy) -> WitnessReport:
             worst_witness = witness
 
     worst_census = _census(ctx, worst_kills)
+    space = ctx.space  # strictly increasing, so key pairs sort as their rgs pairs
     return WitnessReport(
         params={"k": k, "m": m, "N": N},
         strategy=strategy.label(),
@@ -527,7 +545,9 @@ def verify_comb(k: int, m: int, N: int, strategy: Strategy) -> WitnessReport:
             "failures": failures,
             "all_witnessed": failures == 0,
             "pigeonhole_ok": pigeonhole_ok,
-            "counterexample_shapes": [sorted(shape) for shape in shapes],
+            "counterexample_shapes": [
+                [(space[ti], space[vi]) for ti, vi in sorted(shape)] for shape in shapes
+            ],
         },
     )
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from partlab.cli import main
+from partlab.partitions import enumerate_equipartitions, enumerate_partitions
 
 
 def run_cli(*argv, capsys=None):
@@ -39,6 +40,34 @@ class TestCountAndEnumerate:
     def test_missing_parameters_is_usage_error(self, capsys):
         code, _ = run_cli("count", capsys=capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_count_equals_the_enumeration(self, n, capsys):
+        for m in range(n + 1):
+            code, out = run_cli("count", "--n", str(n), "--m", str(m), capsys=capsys)
+            assert code == 0
+            assert out == f"{sum(1 for _ in enumerate_partitions(n, m))}\n"
+
+    @pytest.mark.parametrize("k,N", [(k, N) for k in range(1, 10) for N in range(1, 10) if k * N <= 9])
+    def test_equipartition_count_equals_the_enumeration(self, k, N, capsys):
+        for m in range(k + 1):
+            code, out = run_cli("count", "--k", str(k), "--N", str(N), "--m", str(m), capsys=capsys)
+            assert code == 0
+            assert out == f"{sum(1 for _ in enumerate_equipartitions(k, N, m))}\n"
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--n", "0", "--m", "1"], "error: domain size must be >= 1\n"),
+            (["--n", "3", "--m", "4"], "error: need 0 <= m <= n, got m=4, n=3\n"),
+            (["--k", "2", "--N", "2", "--m", "3"], "error: need 0 <= m <= k, got m=3, k=2\n"),
+            (["--k", "0", "--N", "2", "--m", "1"], "error: need k >= 1 and N >= 1\n"),
+        ],
+    )
+    def test_count_out_of_range_is_usage_error(self, argv, message, capsys):
+        assert main(["count", *argv]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", message)
 
 
 class TestVerify:

@@ -1,3 +1,4 @@
+import collections
 import json
 import re
 
@@ -126,6 +127,9 @@ def test_document_text_is_pinned(tmp_path, monkeypatch, capsys):
     assert stdout == EXHAUSTIVE_221.replace('"out": "r.json"', '"out": null')
 
 
+Pair = collections.namedtuple("Pair", "a b")
+
+
 def _indented(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
@@ -169,6 +173,30 @@ class TestJsonText:
         ],
     )
     def test_memo_tells_equal_values_of_other_types_apart(self, doc):
+        assert json_text(doc) == _indented(doc)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            # empty containers inside a memoised tuple, twice at one depth
+            [([], {}, ()), ([], {}, ())],
+            # one tuple reached at two depths, then again at the first
+            [(1, (2,)), [(1, (2,))], (1, (2,))],
+            # a tuple inside a list inside a tuple, each level repeated
+            [(1, [2, (3, "x")]), (1, [2, (3, "x")])],
+            # a tuple subclass is rendered unmemoised, next to its equal tuple
+            [Pair(1, 2), (1, 2), Pair(1, 2), {"p": Pair((1,), [2])}],
+            None,
+            True,
+            0,
+            -1.5,
+            "top",
+            [],
+            {},
+            (),
+        ],
+    )
+    def test_streaming_edges_equal_indented_json_dumps(self, doc):
         assert json_text(doc) == _indented(doc)
 
     @pytest.mark.parametrize("doc", [{"s": {1}}, {"t": ({1},)}, {"k": {2: None}}])

@@ -40,7 +40,9 @@ from partlab.witness import (
     _down_set,
     _fusion_context,
     _greedy_scores,
+    _greedy_ties,
     _kill_masks,
+    _partition_context,
     _sample_values,
     _witness,
 )
@@ -185,7 +187,7 @@ class TestFindWitness:
         maps = [EMapTable(mprime, tuple(rng.randrange(size) for _ in range(size))) for _ in range(30)]
         maps += [killing_map(rng, m, mprime) for _ in range(30)]
         ctx = _fusion_context(m, mprime)
-        maps += [EMapTable(mprime, _adversarial_values(ctx, 5, i)) for i in range(10)]
+        maps += [EMapTable(mprime, adversarial_values(ctx, 5, i)) for i in range(10)]
         verdicts = [find_witness(e, m, mprime) for e in maps]
         assert verdicts == [reference_find_witness(e, m, mprime) for e in maps]
         assert (None in verdicts) == (config in WITNESS_FREE_CONFIGS)
@@ -308,7 +310,7 @@ class TestLemmaKernel:
         rng = random.Random(sum(kmn))
         size = len(ctx.space)
         maps = [tuple(rng.randrange(size) for _ in range(size)) for _ in range(40)]
-        maps += [_adversarial_values(ctx, 3, i) for i in range(20)]  # mostly witness-free
+        maps += [adversarial_values(ctx, 3, i) for i in range(20)]  # mostly witness-free
         verdicts, bad_maps = set(), 0
         for values in maps:
             kills = _kill_masks(ctx, values)
@@ -317,7 +319,8 @@ class TestLemmaKernel:
             assert witness == oracle_witness(ctx, values)
             assert _census(ctx, kills) == per
             assert _bad_count(kills) == sum(per.values())
-            assert _blocking_shape(ctx, values, kills) == oracle_shape(ctx, values)
+            shape = _blocking_shape(values, kills)
+            assert {(ctx.space[ti], ctx.space[vi]) for ti, vi in shape} == oracle_shape(ctx, values)
             verdicts.add(witness is not None)
             bad_maps += bool(kills)
         assert bad_maps and True in verdicts
@@ -363,10 +366,69 @@ class TestSampler:
     def test_draws_equal_a_fresh_generator_per_map(self, kmn, size):
         ctx = _comb_context(*kmn)
         assert len(ctx.space) == size
+        identity = tuple(range(size))
         rng = random.Random()  # one generator for every map, as in a campaign
         for seed in (0, 7, 2**40):
             for i in range(51):
-                assert _sample_values(ctx, rng, seed, i) == oracle_sample_values(ctx, seed, i)
+                assert _sample_values(ctx, identity, rng, seed, i) == oracle_sample_values(ctx, seed, i)
+
+
+def adversarial_values(ctx, seed, map_index):
+    """One greedy map, with a generator and identity of its own."""
+    return _adversarial_values(ctx, tuple(range(len(ctx.space))), random.Random(), seed, map_index)
+
+
+def oracle_adversarial_values(ctx, seed, map_index):
+    """A greedy map as a fresh random.Random per map and rng.choice per tie draw it."""
+    rng = random.Random((seed << 32) ^ (map_index * 0x85EBCA6B + 3))
+    best = _greedy_scores(ctx)
+    values = list(range(len(ctx.space)))
+    for ti in ctx.relevant:
+        choices = best[ti]
+        if choices:
+            if map_index == 0:
+                values[ti] = min(vi for _, vi in choices)
+            else:
+                values[ti] = rng.choice(choices)[1]
+    return tuple(values)
+
+
+# two Q(4) candidates whose first tie has one value and later ties more; no
+# comb or fusion family on at most 7 points has a one-value tie before another
+ONE_VALUE_TIE = ((0, 0, 0, 1), (0, 1, 2, 3))
+
+
+class TestAdversary:
+    @pytest.mark.parametrize("kmn", KERNEL_CONFIGS + FUSION_CONFIGS + [ONE_VALUE_TIE])
+    def test_draws_equal_a_fresh_generator_per_map(self, kmn):
+        ctx = _partition_context(4, kmn) if kmn == ONE_VALUE_TIE else context_of(kmn)
+        identity = tuple(range(len(ctx.space)))
+        rng = random.Random()  # one generator for every map, as in a campaign
+        for seed in (0, 7, 2**40):
+            for i in range(51):
+                assert _adversarial_values(ctx, identity, rng, seed, i) == oracle_adversarial_values(
+                    ctx, seed, i
+                )
+
+    def test_one_value_tie_comes_before_larger_ties(self):
+        # so a one-value tie that skipped its draw would shift every later draw
+        counts = [len(ties) for _, ties in _greedy_ties(_partition_context(4, ONE_VALUE_TIE))]
+        assert counts[0] == 1 and max(counts[1:]) > 1
+
+    def test_shapes_are_sorted_rgs_pairs(self):
+        rep = verify_comb(3, 2, 2, Adversarial(40, seed=3))
+        shapes = rep.details["counterexample_shapes"]
+        assert shapes and len({frozenset(shape) for shape in shapes}) == len(shapes)
+        space = set(partition_space(6))
+        for shape in shapes:
+            assert shape == sorted(set(shape))
+            assert all(t in space and v in space and not rgs_leq(v, t) for t, v in shape)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_partition_space_is_strictly_increasing(n):
+    space = partition_space(n)
+    assert all(a < b for a, b in zip(space, space[1:]))
 
 
 def oracle_is_valid(e, s, m):
