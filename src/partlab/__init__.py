@@ -47,7 +47,6 @@ from .partitions import (
 )
 from .prefixes import (
     PartitionPrefix,
-    TraceResult,
     approx_r,
     cube_member,
     depth,
@@ -59,7 +58,6 @@ from .prefixes import (
 from .reports import WitnessReport
 from .tree import (
     BlockPartitionKN,
-    SectionMapTable,
     enumerate_sections,
     find_section_witness,
     least_N_below_one,
@@ -85,12 +83,10 @@ __version__ = "0.1.0"
 __all__ = [
     "SetPartition",
     "PartitionPrefix",
-    "TraceResult",
     "WitnessReport",
     "BinaryGrid",
     "AllocationScheme",
     "BlockPartitionKN",
-    "SectionMapTable",
     "CoarseningProfile",
     "CombRatioBound",
     "EMapTable",

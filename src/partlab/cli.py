@@ -58,15 +58,16 @@ CHECKPOINT_EVERY = 10_000
 
 def _parse_strategy(text: str, samples: int, seed: int):
     """Strategy syntax: exhaustive[:CAP] | sampled[:COUNT[:SEED]] | adversarial[:BUDGET[:SEED]]."""
-    parts = text.split(":")
-    name = parts[0]
+    name, *fields = text.split(":")
+    if name not in ("exhaustive", "sampled", "adversarial"):
+        raise DomainError(f"unknown strategy {text!r}")
+    limit = 1 if name == "exhaustive" else 2
+    if len(fields) > limit:
+        raise DomainError(f"strategy {text!r} has too many fields: {name} takes at most {limit}")
+    values = [int(field) for field in fields]
     if name == "exhaustive":
-        return Exhaustive(int(parts[1])) if len(parts) > 1 else Exhaustive()
-    if name in ("sampled", "adversarial"):
-        count = int(parts[1]) if len(parts) > 1 else samples
-        sd = int(parts[2]) if len(parts) > 2 else seed
-        return (Sampled if name == "sampled" else Adversarial)(count, sd)
-    raise DomainError(f"unknown strategy {text!r}")
+        return Exhaustive(*values)
+    return (Sampled if name == "sampled" else Adversarial)(*values, *[samples, seed][len(values) :])
 
 
 def _config_dict(args: argparse.Namespace) -> dict:
@@ -280,7 +281,7 @@ def cmd_fusion_demo(args) -> int:
     for t in space:
         key = induced_coarsening_h(SetPartition(t), B, mprime)
         value = induced_coarsening_h(SetPartition(rng.choice(space)), B, mprime)
-        table[key.to_text()] = value
+        table[key] = value
     B_new = fusion_step(B, table, args.n0, args.ell, mprime)
     cond1, cond2 = fusion_conditions_hold(B, B_new, table, args.n0, args.ell)
     _emit_doc(

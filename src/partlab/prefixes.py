@@ -18,7 +18,6 @@ from .partitions import SetPartition, relabel_canonical, rgs_is_valid, rgs_leq
 
 __all__ = [
     "PartitionPrefix",
-    "TraceResult",
     "mu_sequence",
     "approx_r",
     "trace",
@@ -84,19 +83,6 @@ class PartitionPrefix:
         return self.to_text()
 
 
-@dataclass(frozen=True)
-class TraceResult:
-    """Restriction of one partition cut at another prefix's block minima."""
-
-    partition: SetPartition
-    n: int
-    source_length: int
-
-    def __post_init__(self):
-        if self.partition.n != self.source_length:
-            raise DomainError("trace domain must equal the cut length")
-
-
 def mu_sequence(B: PartitionPrefix) -> list[int]:
     """Block minima of B visible in the window, in increasing order."""
     mins = [-1] * B.num_blocks
@@ -123,7 +109,7 @@ def approx_r(B: PartitionPrefix, n: int) -> SetPartition:
     return SetPartition(B.rgs[: mu[n]])
 
 
-def trace(A: PartitionPrefix, B: PartitionPrefix, n: int) -> TraceResult:
+def trace(A: PartitionPrefix, B: PartitionPrefix, n: int) -> SetPartition:
     """tr(A, B, n): A cut at B's n-th block minimum.
 
     Unlike approx_r, the cut point comes from B; the result need not be
@@ -141,7 +127,7 @@ def trace(A: PartitionPrefix, B: PartitionPrefix, n: int) -> TraceResult:
         raise InsufficientTruncationError(
             f"trace needs A through {cut} points but window has {A.L}"
         )
-    return TraceResult(SetPartition(A.rgs[:cut]), n, cut)
+    return SetPartition(A.rgs[:cut])
 
 
 def depth(B: PartitionPrefix, s: SetPartition) -> int:

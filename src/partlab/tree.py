@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -31,7 +31,6 @@ from .witness import Strategy, _kill_masks, _lemma_context, _witness, map_stream
 
 __all__ = [
     "BlockPartitionKN",
-    "SectionMapTable",
     "enumerate_sections",
     "find_section_witness",
     "verify_tree",
@@ -48,6 +47,7 @@ class BlockPartitionKN:
 
     blocks: tuple[frozenset, ...]
     N: int
+    ground: frozenset = field(init=False, repr=False, compare=False)  # union of the blocks
 
     def __post_init__(self):
         object.__setattr__(self, "blocks", tuple(frozenset(b) for b in self.blocks))
@@ -61,8 +61,6 @@ class BlockPartitionKN:
                 raise DomainError("blocks must be disjoint")
             seen |= blk
         object.__setattr__(self, "ground", frozenset(seen))
-
-    ground: frozenset = frozenset()  # filled in __post_init__
 
     @property
     def k(self) -> int:
@@ -86,27 +84,6 @@ def equal_block_partition(k: int, N: int) -> BlockPartitionKN:
     return BlockPartitionKN(
         tuple(frozenset(range(i * N, (i + 1) * N)) for i in range(k)), N
     )
-
-
-@dataclass(frozen=True)
-class SectionMapTable:
-    """Total map from the sections of a fixed partition to point sets."""
-
-    entries: tuple[tuple[frozenset, frozenset], ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "entries",
-            tuple((frozenset(f), frozenset(v)) for f, v in self.entries),
-        )
-
-    def as_dict(self) -> dict[frozenset, frozenset]:
-        return dict(self.entries)
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping) -> "SectionMapTable":
-        return cls(tuple(sorted(mapping.items(), key=lambda kv: sorted(kv[0]))))
 
 
 def enumerate_sections(P: BlockPartitionKN, complete_only: bool = False) -> Iterator[frozenset]:
@@ -152,31 +129,28 @@ def _subset(v: int, t: int) -> bool:
 def _section_context(P: BlockPartitionKN):
     """The kernel's tables for P, its sections in enumerate_sections order, and its mask function.
 
-    Keys are point masks, so the space maps each section's mask to itself.
-    The candidates are the complete sections, and below[F] is the mask of
-    those that contain F.
+    Keys are point masks, so the space is the identity on every mask of the
+    ground.  The candidates are the complete sections, and below[F] is the
+    mask of those that contain F.
     """
     mask = _masks(P)
     sections = tuple(enumerate_sections(P))
-    keys = [mask(F) for F in sections]
     complete = tuple(F for F in sections if len(F) == P.k)
-    ctx = _lemma_context(dict(zip(keys, keys)), complete, lambda E: _submasks(mask(E)), _subset)
+    ctx = _lemma_context(range(1 << len(P.ground)), complete, lambda E: _submasks(mask(E)), _subset)
     return ctx, sections, mask
 
 
-def _check_table(e: SectionMapTable, P: BlockPartitionKN) -> dict[frozenset, frozenset]:
-    table = e.as_dict()
-    missing = [s for s in _section_context(P)[1] if s not in table]
+def _check_table(e: Mapping[frozenset, frozenset], P: BlockPartitionKN) -> None:
+    missing = [s for s in _section_context(P)[1] if s not in e]
     if missing:
         raise DomainError(f"map is not total: {len(missing)} sections unmapped")
-    return table
 
 
-def find_section_witness(e: SectionMapTable, P: BlockPartitionKN) -> Optional[frozenset]:
-    """Least complete section all of whose subsets satisfy the condition."""
-    table = _check_table(e, P)
+def find_section_witness(e: Mapping[frozenset, frozenset], P: BlockPartitionKN) -> Optional[frozenset]:
+    """Least complete section all of whose subsets satisfy the condition under the total map e."""
+    _check_table(e, P)
     ctx, _, mask = _section_context(P)
-    return _witness(ctx, _kill_masks(ctx, {mask(F): mask(v) for F, v in table.items()}))
+    return _witness(ctx, _kill_masks(ctx, {mask(F): mask(v) for F, v in e.items()}))
 
 
 def _witness_valid(table, E: frozenset) -> bool:
@@ -217,12 +191,12 @@ def intermediate_sum_bound(k: int, N: int) -> Fraction:
     return Fraction(total, N**k)
 
 
-def _random_table(P: BlockPartitionKN, seed: int, sample_index: int) -> SectionMapTable:
+def _random_table(P: BlockPartitionKN, seed: int, sample_index: int) -> dict[frozenset, frozenset]:
     """Uniform value in the power set of the ground, per section."""
     rng = random.Random((seed << 32) ^ (sample_index * 0xC2B2AE35 + 5))
     order = sorted(P.ground)
     sections = _section_context(P)[1]
-    return SectionMapTable(tuple((F, frozenset(p for p in order if rng.random() < 0.5)) for F in sections))
+    return {F: frozenset(p for p in order if rng.random() < 0.5) for F in sections}
 
 
 def verify_tree(k: int, N: int, strategy: Strategy) -> WitnessReport:
@@ -239,12 +213,10 @@ def verify_tree(k: int, N: int, strategy: Strategy) -> WitnessReport:
     ground = sorted(P.ground)
 
     def assign(combo):
-        return SectionMapTable(
-            tuple(
-                (F, frozenset(p for i, p in enumerate(ground) if r >> i & 1))
-                for F, r in zip(sections, combo)
-            )
-        )
+        return {
+            F: frozenset(p for i, p in enumerate(ground) if r >> i & 1)
+            for F, r in zip(sections, combo)
+        }
 
     tables, seed = map_stream(
         strategy, 1 << len(ground), len(sections), assign, lambda seed, i: _random_table(P, seed, i)
@@ -259,8 +231,7 @@ def verify_tree(k: int, N: int, strategy: Strategy) -> WitnessReport:
     for e in tables:
         tested += 1
         witness = find_section_witness(e, P)  # checks that e is total
-        table = e.as_dict()
-        bad_sections = sum(not _witness_valid(table, E) for E in ctx.candidates)
+        bad_sections = sum(not _witness_valid(e, E) for E in ctx.candidates)
         ratio = Fraction(bad_sections, ct)
         max_ratio = max(max_ratio, ratio)
         if bound <= 1 and ratio > bound:
@@ -269,7 +240,7 @@ def verify_tree(k: int, N: int, strategy: Strategy) -> WitnessReport:
             raise RuntimeError("section witness search disagrees with the independent count")
         if witness is None:
             failures += 1
-        elif not _witness_valid(table, witness):
+        elif not _witness_valid(e, witness):
             raise RuntimeError("section witness failed independent re-validation")
         if bad_sections > worst_bad_sections:
             worst_bad_sections = bad_sections
@@ -298,18 +269,14 @@ def verify_tree(k: int, N: int, strategy: Strategy) -> WitnessReport:
     )
 
 
-def witness_via_equal_blocks(e: SectionMapTable, P: BlockPartitionKN) -> Optional[frozenset]:
+def witness_via_equal_blocks(e: Mapping[frozenset, frozenset], P: BlockPartitionKN) -> Optional[frozenset]:
     """Witness for an unequal-block partition via the shrink-and-lift route.
 
     Shrinks each block to its N least points, restricts e to the shrunken
     partition, searches there, and returns the found complete section,
     which is complete for the original partition as well.
     """
-    table = _check_table(e, P)
+    _check_table(e, P)
     Z_blocks = tuple(frozenset(sorted(blk)[: P.N]) for blk in P.blocks)
     Q = BlockPartitionKN(Z_blocks, P.N)
-    Z = Q.ground
-    shrunk = SectionMapTable.from_mapping(
-        {F: table[F] & Z for F in enumerate_sections(Q)}
-    )
-    return find_section_witness(shrunk, Q)
+    return find_section_witness({F: e[F] & Q.ground for F in enumerate_sections(Q)}, Q)

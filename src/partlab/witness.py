@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Callable, Iterator, Mapping, Optional, Union
+from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import BudgetError, DomainError, ThresholdError
 from .partitions import (
@@ -218,7 +218,7 @@ def map_stream(
 
 @dataclass(frozen=True, eq=False)  # hashed by identity, so _greedy_scores can cache per context
 class _LemmaContext:
-    space: Union[tuple, dict]  # key -> the element it stands for
+    space: Sequence  # key -> the element it stands for: a tuple of rgs, or a range of point masks
     candidates: tuple
     coars: tuple[tuple[int, ...], ...]  # per candidate: keys of the elements below it
     relevant: tuple[int, ...]  # keys of the t below at least one candidate
@@ -615,7 +615,7 @@ def min_threshold_comb(
 # -- fusion -------------------------------------------------------------------
 
 
-FTable = Mapping[str, PartitionPrefix]  # keyed by PartitionPrefix.to_text()
+FTable = Mapping[PartitionPrefix, PartitionPrefix]
 
 
 def fusion_step(
@@ -639,7 +639,7 @@ def fusion_step(
 
     def induced(t: SetPartition) -> SetPartition:
         A = induced_coarsening_h(t, B, mprime)
-        C = f_table.get(A.to_text())
+        C = f_table.get(A)
         if C is None:
             raise DomainError(f"f_table is not defined on {A.to_text()}")
         return project_g(C, B, mprime)
@@ -677,14 +677,13 @@ def fusion_conditions_hold(
     cond2 = True
     r_m = approx_r(B_new, m)
     mu_new = mu_sequence(B_new)
-    for key, fA in f_table.items():
-        A = PartitionPrefix.from_text(key)
+    for A, fA in f_table.items():
         if not prefix_is_coarsening(A, B_new):
             continue
         if m >= len(mu_new) or mu_new[m] not in mu_sequence(A):
             continue
-        tr_f = trace(fA, B_new, m).partition
-        tr_a = trace(A, B_new, m).partition
+        tr_f = trace(fA, B_new, m)
+        tr_a = trace(A, B_new, m)
         if rgs_leq(tr_f.rgs, tr_a.rgs) or not rgs_leq(tr_f.rgs, r_m.rgs):
             continue
         cond2 = False

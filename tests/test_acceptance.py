@@ -225,7 +225,7 @@ def test_criterion_09_fusion_step_conditions():
         for t in space:
             key = induced_coarsening_h(SetPartition(t), B, mprime)
             value = induced_coarsening_h(SetPartition(rng.choice(space)), B, mprime)
-            table[key.to_text()] = value
+            table[key] = value
         try:
             B_new = fusion_step(B, table, 0, 1, mprime)
         except ThresholdError:

@@ -418,6 +418,18 @@ class TestCampaignRoundTrip:
         assert code == 2
         assert ">= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("strategy", ["exhaustive:5:6", "sampled:3:1:junk", "adversarial:3:1:99"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify-comb", "--k", "2", "--m", "2", "--N", "1"], ["verify-tree", "--k", "1", "--N", "2"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_extra_strategy_fields_are_usage_error(self, argv, strategy, capsys):
+        assert main(argv + ["--strategy", strategy]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"strategy {strategy!r} has too many fields" in captured.err
+
     def test_merge_takes_pigeonhole_over_every_chunk(self):
         from partlab.witness import Sampled, merge_campaign, verify_comb
 

@@ -94,15 +94,15 @@ class TestTrace:
     def test_hand_example(self):
         A = PartitionPrefix((0, 0, 1, 1, 2, 2))
         B = PartitionPrefix((0, 1, 0, 1, 2, 3))
-        assert trace(A, B, 2).partition.rgs == (0, 0, 1, 1)
+        assert trace(A, B, 2).rgs == (0, 0, 1, 1)
 
     def test_zero_depth(self):
         A = PartitionPrefix((0, 0))
-        assert trace(A, A, 0).partition.n == 0
+        assert trace(A, A, 0).n == 0
 
     def test_discrete_in_itself(self):
         D = PartitionPrefix.discrete(4)
-        assert trace(D, D, 3).partition.rgs == (0, 1, 2)
+        assert trace(D, D, 3).rgs == (0, 1, 2)
 
     def test_nesting(self):
         # the shallower trace is the restriction of the deeper one
@@ -114,8 +114,8 @@ class TestTrace:
             for n in range(len(mu) - 1):
                 if mu[n + 1] > A.L:
                     break
-                shallow = trace(A, B, n).partition
-                deep = trace(A, B, n + 1).partition
+                shallow = trace(A, B, n)
+                deep = trace(A, B, n + 1)
                 assert deep.rgs[: shallow.n] == shallow.rgs
 
 

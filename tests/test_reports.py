@@ -111,9 +111,69 @@ EXHAUSTIVE_221 = """{
 """
 
 
-def _without_elapsed(text: str) -> str:
+# verify-tree --k 2 --N 3 --strategy sampled:300:3 --out r.json, without elapsed_ms
+SAMPLED_TREE_23 = """{
+  "config": {
+    "N": 3,
+    "format": "json",
+    "k": 2,
+    "out": "r.json",
+    "samples": 1000,
+    "seed": 0,
+    "strategy": "sampled:300:3",
+    "subcommand": "verify-tree"
+  },
+  "report": {
+    "bad_pair_count": "5",
+    "candidate_count": "9",
+    "census": {},
+    "details": {
+      "all_witnessed": true,
+      "bound": "20/9",
+      "bound_respected": true,
+      "failures": 0,
+      "least_N_below_one": 8,
+      "lemma": "tree",
+      "tested": 300,
+      "worst_witness": [
+        0,
+        3
+      ]
+    },
+    "params": {
+      "N": 3,
+      "k": 2
+    },
+    "ratio": "5/9",
+    "seed": 3,
+    "strategy": "sampled(300, seed=3)",
+    "witness": null
+  }
+}
+"""
+
+# fusion-demo --L 9 --Mprime 4 --seed 3 --out r.json; the document has no elapsed_ms
+FUSION_943 = """{
+  "approximation_kept": true,
+  "config": {
+    "L": 9,
+    "Mprime": 4,
+    "ell": 0,
+    "n0": 0,
+    "out": "r.json",
+    "seed": 3,
+    "subcommand": "fusion-demo"
+  },
+  "input": "L=9;0,1,2,3,4,5,6,7,8",
+  "output": "L=9;0,0,0,0,1,2,3,4,5",
+  "trace_disjunction": true
+}
+"""
+
+
+def _without_elapsed(text: str, fields: int = 1) -> str:
     text, count = re.subn(r'\n *"elapsed_ms": [0-9.e+-]+,', "", text)
-    assert count == 1
+    assert count == fields
     return text
 
 
@@ -125,6 +185,23 @@ def test_document_text_is_pinned(tmp_path, monkeypatch, capsys):
     assert main(argv) == 1
     stdout = _without_elapsed(capsys.readouterr().out)
     assert stdout == EXHAUSTIVE_221.replace('"out": "r.json"', '"out": null')
+
+
+@pytest.mark.parametrize(
+    "argv, code, pinned, fields",
+    [
+        (["verify-tree", "--k", "2", "--N", "3", "--strategy", "sampled:300:3"], 0, SAMPLED_TREE_23, 1),
+        (["fusion-demo", "--L", "9", "--Mprime", "4", "--seed", "3"], 0, FUSION_943, 0),
+    ],
+    ids=["verify-tree", "fusion-demo"],
+)
+def test_more_document_texts_are_pinned(argv, code, pinned, fields, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--out", "r.json"]) == code
+    assert _without_elapsed((tmp_path / "r.json").read_text(), fields) == pinned
+    assert main(argv) == code
+    stdout = _without_elapsed(capsys.readouterr().out, fields)
+    assert stdout == pinned.replace('"out": "r.json"', '"out": null')
 
 
 Pair = collections.namedtuple("Pair", "a b")

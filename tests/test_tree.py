@@ -7,7 +7,6 @@ import pytest
 from partlab.errors import BudgetError, DomainError
 from partlab.tree import (
     BlockPartitionKN,
-    SectionMapTable,
     enumerate_sections,
     equal_block_partition,
     find_section_witness,
@@ -22,7 +21,7 @@ from partlab.witness import Exhaustive, Sampled
 
 
 def constant_table(P, value):
-    return SectionMapTable.from_mapping({F: value for F in enumerate_sections(P)})
+    return {F: value for F in enumerate_sections(P)}
 
 
 class TestBlockPartition:
@@ -36,6 +35,20 @@ class TestBlockPartition:
         P = BlockPartitionKN((frozenset({0, 1}), frozenset({2, 3, 4})), 2)
         assert P.section_count() == 3 * 4
         assert P.complete_section_count() == 2 * 3
+
+    def test_ground_is_derived_not_passed(self):
+        blocks = (frozenset({0, 1}), frozenset({5, 7, 9}))
+        with pytest.raises(TypeError):
+            BlockPartitionKN(blocks, 2, ground=frozenset({42}))
+        P = BlockPartitionKN(blocks, 2)
+        assert P.ground == frozenset().union(*P.blocks)
+
+    def test_equal_partitions_hash_equal(self):
+        # _section_context's cache is keyed by the partition
+        P = BlockPartitionKN(({0, 1}, {2, 3}), 2)
+        Q = equal_block_partition(2, 2)
+        assert P == Q and hash(P) == hash(Q)
+        assert _section_context(P) is _section_context(Q)
 
 
 class TestEnumerateSections:
@@ -79,20 +92,18 @@ class TestFindSectionWitness:
 
     def test_identity_map(self):
         P = equal_block_partition(2, 3)
-        table = SectionMapTable.from_mapping({F: F for F in enumerate_sections(P)})
+        table = {F: F for F in enumerate_sections(P)}
         assert find_section_witness(table, P) == frozenset({0, 3})
 
     def test_complement_adversary_defeats_singleton_blocks(self):
         P = BlockPartitionKN((frozenset({0}), frozenset({1})), 1)
         X = P.ground
-        table = SectionMapTable.from_mapping(
-            {F: X - F for F in enumerate_sections(P)}
-        )
+        table = {F: X - F for F in enumerate_sections(P)}
         assert find_section_witness(table, P) is None
 
     def test_partial_table_rejected(self):
         P = equal_block_partition(2, 2)
-        table = SectionMapTable.from_mapping({frozenset(): frozenset()})
+        table = {frozenset(): frozenset()}
         with pytest.raises(DomainError):
             find_section_witness(table, P)
 
@@ -103,7 +114,7 @@ class TestFindSectionWitness:
 def reference_find_section_witness(e, P):
     """Least complete section E whose every subset F has e(F) <= F or e(F) !<= E."""
     mask = _masks(P)
-    emask = {mask(f): mask(v) for f, v in e.as_dict().items()}
+    emask = {mask(f): mask(v) for f, v in e.items()}
     for E in enumerate_sections(P, complete_only=True):
         em = mask(E)
         sub = em
@@ -123,10 +134,10 @@ def oracle_maps(P, seed):
     sections = list(enumerate_sections(P))
     X = P.ground
     maps = [_random_table(P, seed, i) for i in range(20)]
-    maps += [SectionMapTable(tuple((F, rng.choice(sections)) for F in sections)) for _ in range(40)]
-    maps.append(SectionMapTable(tuple((F, F) for F in sections)))
-    maps.append(SectionMapTable(tuple((F, X - F) for F in sections)))
-    maps += [SectionMapTable(tuple((F, F | {p}) for F in sections)) for p in sorted(X)]
+    maps += [{F: rng.choice(sections) for F in sections} for _ in range(40)]
+    maps.append({F: F for F in sections})
+    maps.append({F: X - F for F in sections})
+    maps += [{F: F | {p} for F in sections} for p in sorted(X)]
     return maps
 
 
@@ -239,8 +250,7 @@ class TestShrinkAndLift:
             # the lifted witness is complete for P and satisfies the condition
             # for every subset under the original (unshrunken) map
             assert all(len(w & b) == 1 for b in P.blocks)
-            table = e.as_dict()
             pts = sorted(w)
             for r in range(1 << len(pts)):
                 F = frozenset(p for i, p in enumerate(pts) if r >> i & 1)
-                assert table[F] <= F or not table[F] <= w
+                assert e[F] <= F or not e[F] <= w

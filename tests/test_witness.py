@@ -532,7 +532,7 @@ def random_f_table(B, mprime, seed):
     for t in space:
         key = induced_coarsening_h(SetPartition(t), B, mprime)
         value = induced_coarsening_h(SetPartition(rng.choice(space)), B, mprime)
-        table[key.to_text()] = value
+        table[key] = value
     return table
 
 
@@ -543,7 +543,7 @@ class TestFusionStep:
         table = {}
         for t in enumerate_partitions(mprime, 0):
             h = induced_coarsening_h(t, B, mprime)
-            table[h.to_text()] = h
+            table[h] = h
         B_new = fusion_step(B, table, 0, 0, mprime)
         # witness space is Q^1(3); its lex-least element is the single block
         assert B_new == induced_coarsening_h(SetPartition((0, 0, 0)), B, mprime)
@@ -588,7 +588,7 @@ class TestFusionStep:
         for t in enumerate_partitions(mprime, 0):
             h = induced_coarsening_h(t, B, mprime)
             target = SetPartition(bad[t.rgs])
-            table[h.to_text()] = induced_coarsening_h(target, B, mprime)
+            table[h] = induced_coarsening_h(target, B, mprime)
         with pytest.raises(ThresholdError):
             fusion_step(B, table, 0, 1, mprime)
 
