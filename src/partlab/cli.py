@@ -223,17 +223,23 @@ def cmd_verify_tree(args) -> int:
 
 
 def _build_emap(text: str, n: int) -> EMapTable:
-    parts = text.split(":")
-    if parts[0] == "identity":
+    """E-map syntax: identity | constant:RGS | random[:SEED]."""
+    name, *fields = text.split(":")
+    counts = {"identity": (0,), "constant": (1,), "random": (0, 1)}.get(name)
+    if counts is None:
+        raise DomainError(f"unknown e-map form {text!r}")
+    if len(fields) not in counts:
+        raise DomainError(f"e-map {text!r} is malformed: use identity, constant:RGS or random[:SEED]")
+    if name == "identity":
         return EMapTable.identity(n)
-    if parts[0] == "constant":
-        return EMapTable.constant(n, SetPartition.from_text(parts[1]))
-    if parts[0] == "random":
-        seed = int(parts[1]) if len(parts) > 1 else 0
-        rng = random.Random(seed)
-        size = len(partition_space(n))
-        return EMapTable(n, tuple(rng.randrange(size) for _ in range(size)))
-    raise DomainError(f"unknown e-map form {text!r}")
+    try:
+        if name == "constant":
+            return EMapTable.constant(n, SetPartition.from_text(fields[0]))
+        rng = random.Random(int(fields[0]) if fields else 0)
+    except ValueError as exc:  # DomainError is one too; BudgetError is not
+        raise DomainError(f"e-map {text!r}: {exc}") from None
+    size = len(partition_space(n))
+    return EMapTable(n, tuple(rng.randrange(size) for _ in range(size)))
 
 
 def cmd_bad_pairs(args) -> int:

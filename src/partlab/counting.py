@@ -93,8 +93,6 @@ def profile_of(
             raise DomainError(f"block of size {size} is not a multiple of N={N}")
         ki = size // N
         mi = sum(1 for p in blk if p < m)
-        if mi > ki:
-            raise DomainError(f"block holds {mi} distinguished points but only {ki} slots")
         sub_ids: dict[int, list[int]] = {}
         for p in blk:
             sub_ids.setdefault(h.rgs[p], []).append(p)
@@ -104,10 +102,6 @@ def profile_of(
                 raise DomainError(f"sub-block of size {len(pts)} is not a multiple of N={N}")
             kij = len(pts) // N
             mij = sum(1 for p in pts if p < m)
-            if mij > kij:
-                raise DomainError(
-                    f"sub-block holds {mij} distinguished points but only {kij} slots"
-                )
             sub.append((kij, mij))
         blocks.append((ki, mi))
         splits.append(tuple(sub))

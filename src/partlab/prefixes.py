@@ -97,14 +97,9 @@ def approx_r(B: PartitionPrefix, n: int) -> SetPartition:
     mu = mu_sequence(B)
     if n < 0:
         raise DomainError("approximation depth must be >= 0")
-    if n >= len(mu) + 1:
+    if n >= len(mu):
         raise InsufficientTruncationError(
-            f"only {len(mu)} blocks visible; cannot take approximation {n}"
-        )
-    if n == len(mu):
-        # mu_n would be the minimum of the first invisible block
-        raise InsufficientTruncationError(
-            f"mu_{n} lies beyond the window of length {B.L}"
+            f"only {len(mu)} blocks visible, so mu_{n} lies beyond the window of length {B.L}"
         )
     return SetPartition(B.rgs[: mu[n]])
 
@@ -197,13 +192,9 @@ def project_g(C: PartitionPrefix, B: PartitionPrefix, mprime: int) -> SetPartiti
     approximation on that window, fall back to the discrete partition.
     """
     mu = mu_sequence(B)
-    if mprime > len(mu):
+    if mprime >= len(mu):
         raise InsufficientTruncationError(
-            f"B shows {len(mu)} blocks, need at least {mprime}"
-        )
-    if mprime == len(mu):
-        raise InsufficientTruncationError(
-            f"mu_{mprime} of B lies beyond its window of length {B.L}"
+            f"B shows {len(mu)} blocks, so mu_{mprime} of B lies beyond its window of length {B.L}"
         )
     cut = mu[mprime]
     if cut > C.L:

@@ -84,6 +84,14 @@ def _space_index(n: int) -> dict[tuple[int, ...], int]:
     return {rgs: i for i, rgs in enumerate(partition_space(n))}
 
 
+def _lex_index(n: int, rgs: tuple[int, ...]) -> int:
+    """The lex index of rgs in Q(n); DomainError for anything else."""
+    key = _space_index(n).get(rgs)
+    if key is None:
+        raise DomainError(f"{rgs!r} is not a partition in Q({n})")
+    return key
+
+
 @dataclass(frozen=True)
 class EMapTable:
     """Total map from Q(n) to Q(n), stored as value indices over lex order."""
@@ -110,8 +118,7 @@ class EMapTable:
 
     @classmethod
     def constant(cls, n: int, value: SetPartition) -> "EMapTable":
-        idx = _space_index(n)[value.rgs]
-        return cls(n, (idx,) * len(partition_space(n)))
+        return cls(n, (_lex_index(n, value.rgs),) * len(partition_space(n)))
 
     @classmethod
     def from_function(cls, n: int, fn) -> "EMapTable":
@@ -129,10 +136,9 @@ class EMapTable:
         the lemma condition when the assigned set covers every coarsening
         of a candidate.
         """
-        index = _space_index(n)
         values = list(range(len(partition_space(n))))
         for arg, val in assignments.items():
-            values[index[arg]] = index[val]
+            values[_lex_index(n, arg)] = _lex_index(n, val)
         return cls(n, tuple(values))
 
 
@@ -216,11 +222,10 @@ def map_stream(
 # -- shared lemma context -----------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)  # hashed by identity, so _greedy_scores can cache per context
+@dataclass(frozen=True, eq=False)  # hashed by identity, so _greedy_ties can cache per context
 class _LemmaContext:
     space: Sequence  # key -> the element it stands for: a tuple of rgs, or a range of point masks
     candidates: tuple
-    coars: tuple[tuple[int, ...], ...]  # per candidate: keys of the elements below it
     relevant: tuple[int, ...]  # keys of the t below at least one candidate
     below: dict[int, int]  # per relevant v: bitmask of the candidates s with v <= s
     leq: Callable  # the order on elements: rgs_leq, or inclusion of point masks
@@ -232,13 +237,12 @@ def _lemma_context(space, candidates: tuple, down: Callable, leq: Callable) -> _
     down(s) gives the keys of the elements below candidate s, and leq(v, t)
     compares two elements of space.
     """
-    coars = tuple(tuple(down(s)) for s in candidates)
     below: dict[int, int] = {}
-    for ci, keys in enumerate(coars):
-        for ti in keys:
+    for ci, s in enumerate(candidates):
+        for ti in down(s):
             below[ti] = below.get(ti, 0) | 1 << ci
     relevant = tuple(sorted(below))
-    return _LemmaContext(space, candidates, coars, relevant, {ti: below[ti] for ti in relevant}, leq)
+    return _LemmaContext(space, candidates, relevant, {ti: below[ti] for ti in relevant}, leq)
 
 
 def _partition_context(n: int, candidates: tuple[tuple[int, ...], ...]) -> _LemmaContext:
@@ -255,8 +259,6 @@ def _partition_context(n: int, candidates: tuple[tuple[int, ...], ...]) -> _Lemm
 @lru_cache(maxsize=16)
 def _comb_context(k: int, m: int, N: int) -> _LemmaContext:
     """The comb campaigns' candidates: equipartitions of kN points separating the first m."""
-    if not 0 <= m <= k or k < 1 or N < 1:
-        raise DomainError(f"need 1 <= k, 1 <= N, 0 <= m <= k; got k={k}, m={m}, N={N}")
     return _partition_context(k * N, tuple(iter_equipartition_rgs(k, N, m)))
 
 
@@ -331,6 +333,8 @@ def witness_is_valid(e: EMapTable, s: SetPartition, m: int) -> bool:
     per s, and the lemma condition is checked pair by pair, with e(t) <= s
     read as membership of e(t) in that down-set.
     """
+    if s.n != e.n:
+        raise DomainError(f"candidate has {s.n} points, map is over {e.n}")
     rgs = s.rgs
     if any(rgs[i] != i for i in range(min(m, len(rgs)))):
         return False
@@ -352,8 +356,6 @@ def find_witness(e: EMapTable, m: int, mprime: int) -> Optional[SetPartition]:
     """Least s separating the first m points with the lemma property, or None."""
     if e.n != mprime:
         raise DomainError(f"map is over {e.n} points, expected {mprime}")
-    if not 0 <= m <= mprime:
-        raise DomainError(f"need 0 <= m <= {mprime}")
     ctx = _fusion_context(m, mprime)
     witness = _witness(ctx, _kill_masks(ctx, e.values))
     return SetPartition(witness) if witness is not None else None
@@ -410,14 +412,14 @@ def _sample_values(
 
 
 @lru_cache(maxsize=16)
-def _greedy_scores(ctx: _LemmaContext) -> dict[int, list[tuple[int, int]]]:
-    """For each relevant t: value indices with maximal invalidation score."""
+def _greedy_ties(ctx: _LemmaContext) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(t, its maximally invalidating values in ascending key order) for each t that has any."""
     space = ctx.space
     leq = ctx.leq
-    best: dict[int, list[tuple[int, int]]] = {}
+    table = []
     for ti, above_t in ctx.below.items():
         t = space[ti]
-        scored = []
+        ties = []
         top = 0
         # score > 0 needs v <= some candidate, so v is relevant
         for vi, below_v in ctx.below.items():
@@ -426,18 +428,12 @@ def _greedy_scores(ctx: _LemmaContext) -> dict[int, list[tuple[int, int]]]:
                 continue  # not maximal, or e(t) <= t, which never invalidates
             if score > top:
                 top = score
-                scored = [(score, vi)]
+                ties = [vi]
             else:
-                scored.append((score, vi))
-        best[ti] = scored  # empty when t invalidates nothing
-    return best
-
-
-@lru_cache(maxsize=16)
-def _greedy_ties(ctx: _LemmaContext) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """(t, its maximally invalidating values in score order) for each t that has any."""
-    best = _greedy_scores(ctx)
-    return tuple((ti, tuple(vi for _, vi in best[ti])) for ti in ctx.relevant if best[ti])
+                ties.append(vi)
+        if ties:
+            table.append((ti, tuple(ties)))
+    return tuple(table)
 
 
 def _adversarial_values(

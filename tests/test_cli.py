@@ -178,6 +178,16 @@ class TestVerify:
         assert code == 2
         assert "adversarial strategy needs an adversary; this campaign has none" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "form",
+        ["constant", "constant:", "constant:0,1", "constant:0,x", "identity:junk", "random:1:2", "random:junk", "bogus"],
+    )
+    def test_malformed_e_map_is_usage_error(self, form, capsys):
+        assert main(["bad-pairs", "--k", "2", "--m", "2", "--N", "2", "--e-map", form]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and repr(form) in captured.err
+
     def test_reports_deterministic_up_to_timing(self, capsys):
         args = (
             "verify-comb", "--k", "2", "--m", "2", "--N", "2",

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from partlab import tree as tree_module
 from partlab.errors import BudgetError, DomainError
 from partlab.tree import (
     BlockPartitionKN,
@@ -61,7 +62,7 @@ class TestEnumerateSections:
             frozenset({1}),
             frozenset({0, 1}),
         }
-        assert list(enumerate_sections(P, complete_only=True)) == [frozenset({0, 1})]
+        assert [F for F in enumerate_sections(P) if len(F) == P.k] == [frozenset({0, 1})]
 
     def test_two_by_two(self):
         P = equal_block_partition(2, 2)
@@ -79,7 +80,7 @@ class TestEnumerateSections:
             P = BlockPartitionKN(tuple(blocks), 1)
             assert sum(1 for _ in enumerate_sections(P)) == P.section_count()
             assert (
-                sum(1 for _ in enumerate_sections(P, complete_only=True))
+                sum(1 for F in enumerate_sections(P) if len(F) == P.k)
                 == P.complete_section_count()
             )
 
@@ -115,7 +116,7 @@ def reference_find_section_witness(e, P):
     """Least complete section E whose every subset F has e(F) <= F or e(F) !<= E."""
     mask = _masks(P)
     emask = {mask(f): mask(v) for f, v in e.items()}
-    for E in enumerate_sections(P, complete_only=True):
+    for E in (F for F in enumerate_sections(P) if len(F) == P.k):
         em = mask(E)
         sub = em
         while True:
@@ -159,7 +160,7 @@ class TestSectionKernel:
     @pytest.mark.parametrize("P", ORACLE_PARTITIONS, ids=lambda P: str(sorted(map(sorted, P.blocks))))
     def test_below_masks_are_the_containing_complete_sections(self, P):
         ctx, sections, mask = _section_context(P)
-        assert ctx.candidates == tuple(enumerate_sections(P, complete_only=True))
+        assert ctx.candidates == tuple(F for F in enumerate_sections(P) if len(F) == P.k)
         assert sorted(ctx.below) == sorted(map(mask, sections))
         for F in sections:
             assert ctx.below[mask(F)] == sum(1 << ci for ci, E in enumerate(ctx.candidates) if F <= E)
@@ -204,6 +205,18 @@ class TestVerifyTree:
     def test_budget_guard(self):
         with pytest.raises(BudgetError):
             verify_tree(2, 4, Exhaustive(cap=10))
+
+    @pytest.mark.parametrize(
+        "bound, respected",
+        [(Fraction(1, 2), False), (Fraction(5, 9), True), (Fraction(1), True), (Fraction(3, 2), True)],
+    )
+    def test_bound_respected_compares_the_worst_ratio(self, monkeypatch, bound, respected):
+        # the worst of these maps has 5 of 9 complete sections bad; a bound above 1 is vacuous
+        real = tree_module.section_bound
+        monkeypatch.setattr(tree_module, "section_bound", lambda k, N: bound if (k, N) == (2, 3) else real(k, N))
+        rep = verify_tree(2, 3, Sampled(300, seed=3))
+        assert rep.ratio == Fraction(5, 9) and rep.details["bound"] == bound
+        assert rep.details["bound_respected"] is respected
 
     def test_default_exhaustive_cap(self):
         assert Exhaustive().cap == 1_000_000

@@ -1,4 +1,5 @@
 import random
+from functools import lru_cache
 
 import pytest
 
@@ -39,7 +40,6 @@ from partlab.witness import (
     _comb_context,
     _down_set,
     _fusion_context,
-    _greedy_scores,
     _greedy_ties,
     _kill_masks,
     _partition_context,
@@ -64,6 +64,13 @@ class TestEMapTable:
         e = EMapTable.from_assignments(2, {(0, 0): (0, 1)})
         assert e.apply(SetPartition((0, 0))) == SetPartition((0, 1))
         assert e.apply(SetPartition((0, 1))) == SetPartition((0, 1))
+
+    def test_partition_outside_the_space_is_domain_error(self):
+        with pytest.raises(DomainError, match=r"\(0, 1\) is not a partition in Q\(4\)"):
+            EMapTable.constant(4, SetPartition((0, 1)))
+        for assignments in ({(0, 1): (0, 0, 0, 0)}, {(0, 0, 0, 0): (0, 1)}, {(0, 1, 0, 1): (0, 2, 1, 1)}):
+            with pytest.raises(DomainError, match=r"is not a partition in Q\(4\)"):
+                EMapTable.from_assignments(4, assignments)
 
     def test_value_range_checked(self):
         for values in ((0, 5), (-1, 0), (0, 2)):
@@ -236,9 +243,16 @@ class TestVerifyComb:
 # -- the lemma condition by nested rgs_leq loops: an oracle for the kernel --
 
 
+@lru_cache(maxsize=32)
+def oracle_keys(ctx):
+    """Per candidate, the keys of the t below it, from _down_set's full scan of Q(n)."""
+    index = {t: i for i, t in enumerate(ctx.space)}
+    return tuple(frozenset(index[t] for t in _down_set(len(s), s)) for s in ctx.candidates)
+
+
 def oracle_witness(ctx, values):
     space = ctx.space
-    for s, coar in zip(ctx.candidates, ctx.coars):
+    for s, coar in zip(ctx.candidates, oracle_keys(ctx)):
         if all(
             rgs_leq(space[values[ti]], space[ti]) or not rgs_leq(space[values[ti]], s)
             for ti in coar
@@ -250,7 +264,7 @@ def oracle_witness(ctx, values):
 def oracle_census(ctx, values):
     space = ctx.space
     per = {}
-    for s, coar in zip(ctx.candidates, ctx.coars):
+    for s, coar in zip(ctx.candidates, oracle_keys(ctx)):
         bad = sum(
             1
             for ti in coar
@@ -264,7 +278,7 @@ def oracle_census(ctx, values):
 def oracle_shape(ctx, values):
     space = ctx.space
     shape = set()
-    for s, coar in zip(ctx.candidates, ctx.coars):
+    for s, coar in zip(ctx.candidates, oracle_keys(ctx)):
         for ti in coar:
             v = space[values[ti]]
             if rgs_leq(v, s) and not rgs_leq(v, space[ti]):
@@ -272,27 +286,31 @@ def oracle_shape(ctx, values):
     return frozenset(shape)
 
 
+@lru_cache(maxsize=32)
 def oracle_greedy(ctx):
     space = ctx.space
-    best = {}
-    for ti in ctx.relevant:
+    keys = oracle_keys(ctx)
+    relevant = sorted(set().union(*keys))
+    table = []
+    for ti in relevant:
         t = space[ti]
-        scored, top = [], 0
-        for vi in ctx.relevant:
+        ties, top = [], 0
+        for vi in relevant:
             v = space[vi]
             if rgs_leq(v, t):
                 continue
             score = sum(
                 1
-                for s, coar in zip(ctx.candidates, ctx.coars)
+                for s, coar in zip(ctx.candidates, keys)
                 if ti in coar and rgs_leq(v, s)
             )
             if score > top:
-                top, scored = score, [(score, vi)]
+                top, ties = score, [vi]
             elif score == top and score > 0:
-                scored.append((score, vi))
-        best[ti] = scored
-    return best
+                ties.append(vi)
+        if ties:
+            table.append((ti, tuple(ties)))
+    return tuple(table)
 
 
 KERNEL_CONFIGS = [(2, 2, 2), (3, 0, 2), (3, 2, 2), (2, 1, 3)]
@@ -330,14 +348,15 @@ class TestLemmaKernel:
     @pytest.mark.parametrize("kmn", KERNEL_CONFIGS + FUSION_CONFIGS)
     def test_greedy_scores_agree_with_nested_loops(self, kmn):
         ctx = context_of(kmn)
-        assert _greedy_scores(ctx) == oracle_greedy(ctx)
+        assert _greedy_ties(ctx) == oracle_greedy(ctx)
 
     @pytest.mark.parametrize("kmn", KERNEL_CONFIGS + FUSION_CONFIGS)
     def test_below_masks_match_coarsening_tables(self, kmn):
         ctx = context_of(kmn)
-        assert ctx.relevant == tuple(sorted(ctx.below))
+        keys = oracle_keys(ctx)
+        assert ctx.relevant == tuple(sorted(ctx.below)) == tuple(sorted(set().union(*keys)))
         for ti, mask in ctx.below.items():
-            assert mask == sum(1 << ci for ci, coar in enumerate(ctx.coars) if ti in coar)
+            assert mask == sum(1 << ci for ci, coar in enumerate(keys) if ti in coar)
 
     @pytest.mark.parametrize("kmn", KERNEL_CONFIGS + FUSION_CONFIGS)
     def test_down_set_is_the_coarsening_set(self, kmn):
@@ -381,15 +400,9 @@ def adversarial_values(ctx, seed, map_index):
 def oracle_adversarial_values(ctx, seed, map_index):
     """A greedy map as a fresh random.Random per map and rng.choice per tie draw it."""
     rng = random.Random((seed << 32) ^ (map_index * 0x85EBCA6B + 3))
-    best = _greedy_scores(ctx)
     values = list(range(len(ctx.space)))
-    for ti in ctx.relevant:
-        choices = best[ti]
-        if choices:
-            if map_index == 0:
-                values[ti] = min(vi for _, vi in choices)
-            else:
-                values[ti] = rng.choice(choices)[1]
+    for ti, ties in oracle_greedy(ctx):
+        values[ti] = min(ties) if map_index == 0 else rng.choice(ties)
     return tuple(values)
 
 
@@ -483,6 +496,11 @@ class TestWitnessIsValid:
                 # e(t) = s coarsens s but not t: (s, t) is a bad pair
                 e = EMapTable.from_assignments(k * N, {t: s})
                 assert not witness_is_valid(e, SetPartition(s), m)
+
+    @pytest.mark.parametrize("s", [(0, 1, 2), (0, 1, 2, 3, 4), ()])
+    def test_candidate_of_another_size_is_domain_error(self, s):
+        with pytest.raises(DomainError, match=f"candidate has {len(s)} points, map is over 4"):
+            witness_is_valid(EMapTable.identity(4), SetPartition(s), 0)
 
     def test_rejects_unseparated_prefix(self):
         assert not witness_is_valid(EMapTable.identity(4), SetPartition((0, 0, 1, 1)), 2)
