@@ -64,7 +64,10 @@ def _parse_strategy(text: str, samples: int, seed: int):
     limit = 1 if name == "exhaustive" else 2
     if len(fields) > limit:
         raise DomainError(f"strategy {text!r} has too many fields: {name} takes at most {limit}")
-    values = [int(field) for field in fields]
+    try:
+        values = [int(field) for field in fields]
+    except ValueError as exc:
+        raise DomainError(f"strategy {text!r}: {exc}") from None
     if name == "exhaustive":
         return Exhaustive(*values)
     return (Sampled if name == "sampled" else Adversarial)(*values, *[samples, seed][len(values) :])

@@ -77,34 +77,27 @@ def profile_of(
     """
     if N < 1:
         raise DomainError("need N >= 1")
-    if t.n % N != 0:
-        raise DomainError(f"domain size {t.n} is not a multiple of N={N}")
     if not 0 <= m <= t.n:
         raise DomainError(f"need 0 <= m <= {t.n}")
     if h is None:
         h = t
     elif not is_coarsening(t, h):
         raise DomainError("h must refine t")
+
+    def grain(points: list[int], what: str) -> tuple[int, int]:
+        if len(points) % N != 0:
+            raise DomainError(f"{what} of size {len(points)} is not a multiple of N={N}")
+        return len(points) // N, sum(1 for p in points if p < m)
+
+    # each h-block lies in the t-block of its least point; h.blocks is in order of minima
+    subs: list[list[list[int]]] = [[] for _ in range(t.num_blocks)]
+    for sub in h.blocks:
+        subs[t.rgs[sub[0]]].append(sub)
     blocks = []
     splits = []
-    for blk in t.blocks:
-        size = len(blk)
-        if size % N != 0:
-            raise DomainError(f"block of size {size} is not a multiple of N={N}")
-        ki = size // N
-        mi = sum(1 for p in blk if p < m)
-        sub_ids: dict[int, list[int]] = {}
-        for p in blk:
-            sub_ids.setdefault(h.rgs[p], []).append(p)
-        sub = []
-        for _, pts in sorted(sub_ids.items(), key=lambda kv: min(kv[1])):
-            if len(pts) % N != 0:
-                raise DomainError(f"sub-block of size {len(pts)} is not a multiple of N={N}")
-            kij = len(pts) // N
-            mij = sum(1 for p in pts if p < m)
-            sub.append((kij, mij))
-        blocks.append((ki, mi))
-        splits.append(tuple(sub))
+    for blk, group in zip(t.blocks, subs):
+        blocks.append(grain(blk, "block"))
+        splits.append(tuple(grain(sub, "sub-block") for sub in group))
     return CoarseningProfile(tuple(blocks), tuple(splits))
 
 

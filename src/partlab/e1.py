@@ -15,7 +15,7 @@ InsufficientTruncationError when the window cannot decide a membership.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from itertools import chain, count, islice
 
 from .errors import DomainError, InsufficientTruncationError
 from .partitions import relabel_canonical
@@ -131,37 +131,15 @@ def round_robin_alloc(L: int) -> AllocationScheme:
     """
     if L < 1:
         raise DomainError("need L >= 1")
-    owner = [None] * L
-    spine: list[int] = []
-    lanes: list[list[int]] = []
-    p = 0
-
-    def take(who: int) -> bool:
-        nonlocal p
-        if p >= L:
-            return False
-        owner[p] = who
-        if who == -1:
-            spine.append(p)
-        else:
+    rounds = ((-1, -1, n, *range(n + 1)) for n in count())
+    owner = tuple(islice(chain.from_iterable(rounds), L))
+    spine = tuple(p for p, who in enumerate(owner) if who == -1)
+    # lane n opens once both spine values of round n fit
+    lanes: list[list[int]] = [[] for _ in range(len(spine) // 2)]
+    for p, who in enumerate(owner):
+        if who >= 0:
             lanes[who].append(p)
-        p += 1
-        return True
-
-    n = 0
-    while p < L:
-        if not (take(-1) and take(-1)):
-            break
-        lanes.append([])
-        if not take(n):
-            break
-        for k in range(n + 1):
-            if not take(k):
-                break
-        n += 1
-    return AllocationScheme(
-        L, tuple(owner), tuple(spine), tuple(tuple(lane) for lane in lanes)
-    )
+    return AllocationScheme(L, owner, spine, tuple(tuple(lane) for lane in lanes))
 
 
 def cs_encode(A: PartitionPrefix) -> BinaryGrid:
@@ -180,7 +158,8 @@ def cs_decode(x: BinaryGrid) -> PartitionPrefix:
         if len(hits) != 1:
             raise DomainError(f"column {m} lies in {len(hits)} rows, expected 1")
         rgs.append(hits[0])
-    if not x.is_cs() or tuple(rgs) != relabel_canonical(rgs):
+    # one row per column plus is_cs: rows nonempty with increasing minima, so rgs is canonical
+    if not x.is_cs():
         raise DomainError("grid is not a block indicator matrix in minimum order")
     return PartitionPrefix(tuple(rgs))
 

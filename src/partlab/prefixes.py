@@ -92,16 +92,21 @@ def mu_sequence(B: PartitionPrefix) -> list[int]:
     return mins  # block index order == order of minima, by rgs canonicity
 
 
-def approx_r(B: PartitionPrefix, n: int) -> SetPartition:
-    """The n-th approximation: B restricted to its first n block minima."""
-    mu = mu_sequence(B)
+def _mu_cut(B: PartitionPrefix, n: int) -> int:
+    """mu_n(B), the n-th block minimum of B, when the window shows it."""
     if n < 0:
-        raise DomainError("approximation depth must be >= 0")
+        raise DomainError(f"depth must be >= 0, got {n}")
+    mu = mu_sequence(B)
     if n >= len(mu):
         raise InsufficientTruncationError(
-            f"only {len(mu)} blocks visible, so mu_{n} lies beyond the window of length {B.L}"
+            f"B shows {len(mu)} blocks, so mu_{n} of B lies beyond its window of length {B.L}"
         )
-    return SetPartition(B.rgs[: mu[n]])
+    return mu[n]
+
+
+def approx_r(B: PartitionPrefix, n: int) -> SetPartition:
+    """The n-th approximation: B restricted to its first n block minima."""
+    return trace(B, B, n)
 
 
 def trace(A: PartitionPrefix, B: PartitionPrefix, n: int) -> SetPartition:
@@ -110,14 +115,7 @@ def trace(A: PartitionPrefix, B: PartitionPrefix, n: int) -> SetPartition:
     Unlike approx_r, the cut point comes from B; the result need not be
     an approximation of A.
     """
-    mu = mu_sequence(B)
-    if n < 0:
-        raise DomainError("trace depth must be >= 0")
-    if n >= len(mu):
-        raise InsufficientTruncationError(
-            f"B shows only {len(mu)} blocks; trace depth {n} is undecidable"
-        )
-    cut = mu[n]
+    cut = _mu_cut(B, n)
     if cut > A.L:
         raise InsufficientTruncationError(
             f"trace needs A through {cut} points but window has {A.L}"
@@ -159,8 +157,7 @@ def cube_member(s: SetPartition, A: PartitionPrefix, B: PartitionPrefix) -> bool
             depth(B, s)
         except NotACutError:
             return False
-    overlap = min(A.L, B.L)
-    return rgs_leq(B.rgs[:overlap], A.rgs[:overlap])
+    return prefix_is_coarsening(B, A)
 
 
 def induced_coarsening_h(t: SetPartition, B: PartitionPrefix, mprime: int) -> PartitionPrefix:
@@ -175,14 +172,8 @@ def induced_coarsening_h(t: SetPartition, B: PartitionPrefix, mprime: int) -> Pa
         raise InsufficientTruncationError(
             f"B shows {B.num_blocks} blocks, need at least {mprime}"
         )
-    trgs = t.rgs
-    labels = []
-    for v in B.rgs:
-        if v < mprime:
-            labels.append(("t", trgs[v]))
-        else:
-            labels.append(("b", v))
-    return PartitionPrefix(relabel_canonical(labels))
+    # t-labels lie below mprime and the kept B-labels at or above it, so they never collide
+    return PartitionPrefix(relabel_canonical(t.rgs[v] if v < mprime else v for v in B.rgs))
 
 
 def project_g(C: PartitionPrefix, B: PartitionPrefix, mprime: int) -> SetPartition:
@@ -191,12 +182,7 @@ def project_g(C: PartitionPrefix, B: PartitionPrefix, mprime: int) -> SetPartiti
     Case split mirrors the construction: if C does not coarsen B's
     approximation on that window, fall back to the discrete partition.
     """
-    mu = mu_sequence(B)
-    if mprime >= len(mu):
-        raise InsufficientTruncationError(
-            f"B shows {len(mu)} blocks, so mu_{mprime} of B lies beyond its window of length {B.L}"
-        )
-    cut = mu[mprime]
+    cut = _mu_cut(B, mprime)
     if cut > C.L:
         raise InsufficientTruncationError(
             f"C window of length {C.L} does not reach mu_{mprime}(B) = {cut}"
@@ -204,7 +190,8 @@ def project_g(C: PartitionPrefix, B: PartitionPrefix, mprime: int) -> SetPartiti
     c_cut = C.rgs[:cut]
     if not rgs_leq(c_cut, B.rgs[:cut]):
         return SetPartition.discrete(mprime)
-    return SetPartition(relabel_canonical(c_cut[mu[i]] for i in range(mprime)))
+    # B.rgs.index(i) is the least point of B's block i
+    return SetPartition(relabel_canonical(c_cut[B.rgs.index(i)] for i in range(mprime)))
 
 
 def prefix_is_coarsening(A: PartitionPrefix, B: PartitionPrefix) -> bool:

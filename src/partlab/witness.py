@@ -107,7 +107,7 @@ class EMapTable:
             raise DomainError("value index out of range")
 
     def apply_rgs(self, rgs: tuple[int, ...]) -> tuple[int, ...]:
-        return partition_space(self.n)[self.values[_space_index(self.n)[rgs]]]
+        return partition_space(self.n)[self.values[_lex_index(self.n, rgs)]]
 
     def apply(self, t: SetPartition) -> SetPartition:
         return SetPartition(self.apply_rgs(t.rgs))
@@ -625,9 +625,10 @@ def fusion_step(
 
     Builds the induced adversary e = project o f o coarsen over Q(mprime),
     finds a witness separating the first n0+ell+1 points, and returns the
-    coarsening of B the witness induces.  The step conditions (approximation
-    kept exactly; trace disjunction over the table domain) are verified
-    before returning.  An unmapped table argument is a hard error.
+    coarsening of B the witness induces.  Only the first step condition,
+    that the approximation is kept, is verified before returning; the trace
+    disjunction is left to fusion_conditions_hold.  An unmapped table
+    argument is a hard error.
     """
     m = n0 + ell + 1
     if m > mprime:

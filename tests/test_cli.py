@@ -188,6 +188,23 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and repr(form) in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-comb", "--k", "2", "--m", "2", "--N", "2"],
+            ["verify-tree", "--k", "2", "--N", "2"],
+            ["find-threshold", "--k", "2", "--m", "2"],
+        ],
+    )
+    @pytest.mark.parametrize("form, field", [("sampled:x", "x"), ("exhaustive:1e3", "1e3"), ("sampled:5:y", "y")])
+    def test_non_integer_strategy_field_names_the_strategy(self, argv, form, field, capsys):
+        assert main([*argv, "--strategy", form]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: strategy {form!r}: invalid literal for int() with base 10: {field!r}\n"
+        )
+
     def test_reports_deterministic_up_to_timing(self, capsys):
         args = (
             "verify-comb", "--k", "2", "--m", "2", "--N", "2",

@@ -86,6 +86,14 @@ class TestRoundRobinAlloc:
         big = round_robin_alloc(500)
         assert all(len(lane) >= 5 for lane in big.lanes[:10])
 
+    def test_a_lane_opens_once_both_spine_values_fit(self):
+        for L in range(1, 61):
+            s = round_robin_alloc(L)
+            assert len(s.lanes) == len(s.spine) // 2
+        assert round_robin_alloc(1).lanes == ()
+        assert round_robin_alloc(2).lanes == ((),)
+        assert round_robin_alloc(6).lanes == ((2, 3), ())
+
 
 class TestEncode:
     def test_interleaved(self):
@@ -109,6 +117,11 @@ class TestEncode:
     def test_decode_rejects_non_partition_grid(self):
         with pytest.raises(DomainError):
             cs_decode(BinaryGrid(((1, 1), (0, 1))))
+
+    def test_decode_rejects_an_empty_last_row(self):
+        # every column lies in one row, so only is_cs sees the empty row
+        with pytest.raises(DomainError):
+            cs_decode(BinaryGrid(((1, 1), (0, 0))))
 
 
 class TestWindowEquiv:

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from partlab.errors import DomainError, InsufficientTruncationError, NotACutError
-from partlab.partitions import SetPartition, enumerate_partitions, is_coarsening
+from partlab.errors import DomainError, InsufficientTruncationError, NotACutError, PartlabError
+from partlab.partitions import SetPartition, enumerate_partitions, is_coarsening, iter_rgs
 from partlab.prefixes import (
     PartitionPrefix,
     approx_r,
@@ -88,6 +88,20 @@ class TestApproxR:
                 continue
             if r is not None:
                 assert B.rgs[: r.n] == r.rgs
+
+
+    def test_is_the_trace_of_b_in_itself(self):
+        for L in range(1, 8):
+            for B in map(PartitionPrefix, iter_rgs(L)):
+                for n in range(-1, len(mu_sequence(B)) + 1):
+                    try:
+                        want = approx_r(B, n)
+                    except PartlabError as exc:
+                        with pytest.raises(PartlabError) as caught:
+                            trace(B, B, n)
+                        assert caught.type is type(exc)
+                    else:
+                        assert trace(B, B, n) == want
 
 
 class TestTrace:
@@ -199,6 +213,18 @@ class TestInducedCoarsening:
         with pytest.raises(InsufficientTruncationError):
             induced_coarsening_h(SetPartition((0, 1, 2)), PartitionPrefix((0, 0, 1)), 3)
 
+    def test_against_the_definition(self):
+        # i ~ j iff B(i) = B(j), or both B-labels lie below mprime and t joins them
+        for B in map(PartitionPrefix, iter_rgs(6)):
+            for mprime in range(1, B.num_blocks + 1):
+                for t in enumerate_partitions(mprime, 0):
+                    h = induced_coarsening_h(t, B, mprime).rgs
+                    for (i, bi), (j, bj) in itertools.combinations(enumerate(B.rgs), 2):
+                        joined = bi == bj or (
+                            bi < mprime and bj < mprime and t.rgs[bi] == t.rgs[bj]
+                        )
+                        assert (h[i] == h[j]) == joined
+
 
 class TestProjectG:
     def test_hand_example(self):
@@ -214,6 +240,12 @@ class TestProjectG:
         C = PartitionPrefix((0, 1, 2, 3, 4, 5))
         B = PartitionPrefix((0, 0, 1, 1, 2, 3))
         assert project_g(C, B, 2).rgs == (0, 1)
+
+    def test_negative_depth_is_domain_error(self):
+        B = PartitionPrefix((0, 1, 0, 1, 2, 3))
+        for mprime in (-1, -5):
+            with pytest.raises(DomainError, match="depth must be >= 0"):
+                project_g(B, B, mprime)
 
     def test_section_identity(self):
         # g(h(t)) = t for all t, over several distinct prefixes

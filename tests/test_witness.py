@@ -72,6 +72,13 @@ class TestEMapTable:
             with pytest.raises(DomainError, match=r"is not a partition in Q\(4\)"):
                 EMapTable.from_assignments(4, assignments)
 
+    def test_applying_outside_the_space_is_domain_error(self):
+        e = EMapTable.identity(4)
+        with pytest.raises(DomainError, match=r"\(0, 1\) is not a partition in Q\(4\)"):
+            e.apply(SetPartition((0, 1)))
+        with pytest.raises(DomainError, match=r"\(0, 1, 2, 3, 4\) is not a partition in Q\(4\)"):
+            e.apply_rgs((0, 1, 2, 3, 4))
+
     def test_value_range_checked(self):
         for values in ((0, 5), (-1, 0), (0, 2)):
             with pytest.raises(DomainError, match="value index out of range"):
