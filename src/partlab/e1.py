@@ -201,18 +201,19 @@ def reduce_f(x: BinaryGrid, L: int) -> PartitionPrefix:
     next.  Block minima are the spine values in order.
     """
     scheme = round_robin_alloc(L)
+    # each owner's next position: lane n's at seen[n], the spine's at seen[-1]
+    seen = [0] * (len(scheme.lanes) + 1)
     labels = []
-    for p in range(L):
-        who = scheme.owner[p]
+    for p, who in enumerate(scheme.owner):
+        i = seen[who]
+        seen[who] = i + 1
         if who == -1:
-            j = scheme.spine.index(p)
+            j = i
+        elif who >= x.R or i >= x.C:
+            raise InsufficientTruncationError(
+                f"grid window {x.R}x{x.C} cannot decide point {p} (row {who}, column {i})"
+            )
         else:
-            i = scheme.lanes[who].index(p)
-            if who >= x.R or i >= x.C:
-                raise InsufficientTruncationError(
-                    f"grid window {x.R}x{x.C} cannot decide point {p} "
-                    f"(row {who}, column {i})"
-                )
             j = 2 * who if x.bits[who][i] else 2 * who + 1
         labels.append(j)
     return PartitionPrefix(relabel_canonical(labels))

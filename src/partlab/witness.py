@@ -17,7 +17,12 @@ off those masks.
 Every returned witness is re-validated by an independent scan that
 shares no enumeration path with the search: the down-set of the witness
 is found by testing every t in Q(n), once per witness, and each of its
-members is checked against the lemma condition.
+members is checked against the lemma condition.  A comb campaign runs
+this scan for every witnessed map, on tables and partitions it built
+without the public constructors' full checks: every map it generates
+starts from the identity table and changes only relevant keys, so only
+the table's length and the values at those keys are checked.  Tables and
+partitions from outside a campaign keep the full checks.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 from .errors import BudgetError, DomainError, ThresholdError
 from .partitions import (
     SetPartition,
+    _trusted,
     coarsenings_of,
     count_partitions,
     iter_equipartition_rgs,
@@ -467,14 +473,38 @@ def _adversarial_values(
     return tuple(values)
 
 
+def _campaign_table(ctx: _LemmaContext, n: int, values: tuple[int, ...]) -> EMapTable:
+    """The table of a map a campaign generated, checked only where it can be wrong.
+
+    Every generator copies the campaign's identity tuple and writes only
+    the keys in ctx.relevant, so the length and the values at those keys
+    are checked, with the public constructor's errors, and the rest is
+    trusted.
+    """
+    size = len(ctx.space)
+    if len(values) != size:
+        raise DomainError(f"map must be total over {size} partitions")
+    for ti in ctx.relevant:  # a plain loop: half the cost of all() over a generator
+        if not 0 <= values[ti] < size:
+            raise DomainError("value index out of range")
+    e = object.__new__(EMapTable)
+    object.__setattr__(e, "n", n)
+    object.__setattr__(e, "values", values)
+    return e
+
+
 def verify_comb(k: int, m: int, N: int, strategy: Strategy) -> WitnessReport:
     """Test the lemma against a family of adversary maps; aggregate a report.
 
     Exit contract: details["all_witnessed"] is True iff every tested map
     admitted a witness; counterexample shapes (the invalidating entries)
     are collected otherwise.  Every witness is re-validated by the
-    independent scan, and the pigeonhole certificate (bad pairs below
-    candidate count implies a witness) is checked for every map.
+    independent scan, once per witnessed map, and the pigeonhole
+    certificate (bad pairs below candidate count implies a witness) is
+    checked for every map.  The scan gets the map's table from
+    _campaign_table, which checks its length and its values at the
+    relevant keys, the only ones a generator writes, and the witness as a
+    trusted partition, since it is one of the candidates.
     """
     start = time.perf_counter()
     ctx = _comb_context(k, m, N)
@@ -516,8 +546,8 @@ def verify_comb(k: int, m: int, N: int, strategy: Strategy) -> WitnessReport:
             if bad < n_cands:
                 pigeonhole_ok = False  # would contradict the counting chain
         else:
-            e = EMapTable(k * N, values)
-            if not witness_is_valid(e, SetPartition(witness), m):
+            # through the module global, so a wrapper sees every re-validation
+            if not witness_is_valid(_campaign_table(ctx, k * N, values), _trusted(witness), m):
                 raise RuntimeError("witness failed independent re-validation")
         if bad > worst_bad:
             worst_bad = bad
@@ -553,7 +583,8 @@ def merge_campaign(parts: list[WitnessReport], strategy: Sampled) -> WitnessRepo
 
     The worst map is the first maximum of bad_pair_count, as in one run;
     counterexample shapes keep their first-seen order without repeats, and
-    pigeonhole_ok must hold in every chunk.
+    pigeonhole_ok must hold in every chunk.  elapsed_ms is the sum of the
+    chunks' times, more than the wall time when chunks ran in parallel.
     """
     worst = max(parts, key=lambda r: r.bad_pair_count)
     shapes, seen = [], set()

@@ -467,6 +467,22 @@ class TestCampaignRoundTrip:
         merged = merge_campaign([worst, other], Sampled(10, seed=1))
         assert merged.details["pigeonhole_ok"] is False
 
+    def test_merged_report_has_the_invocation_wall_time(self, monkeypatch, capsys):
+        import dataclasses
+
+        from partlab import cli
+
+        real = cli.verify_comb
+
+        def slow_on_paper(k, m, N, strategy):
+            return dataclasses.replace(real(k, m, N, strategy), elapsed_ms=10_000.0)
+
+        monkeypatch.setattr(cli, "CHECKPOINT_EVERY", 5)
+        monkeypatch.setattr(cli, "verify_comb", slow_on_paper)
+        argv = ["verify-comb", "--k", "2", "--m", "2", "--N", "2", "--strategy", "sampled:10:1"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["report"]["elapsed_ms"] < 5_000
+
     def test_state_of_another_configuration_is_usage_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr("partlab.cli.CHECKPOINT_EVERY", 7)
         _campaign_report(tmp_path, "camp.json", (2, 2, 2), "sampled:20:1")

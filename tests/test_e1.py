@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from partlab.e1 import (
     round_robin_alloc,
 )
 from partlab.errors import DomainError, InsufficientTruncationError
+from partlab.partitions import relabel_canonical
 from partlab.prefixes import PartitionPrefix
 
 
@@ -153,6 +155,24 @@ class TestWindowEquiv:
             )
 
 
+def reference_reduce_f(x, L):
+    """reduce_f with each point's spine or lane position found by tuple.index."""
+    scheme = round_robin_alloc(L)
+    labels = []
+    for p in range(L):
+        who = scheme.owner[p]
+        if who == -1:
+            labels.append(scheme.spine.index(p))
+            continue
+        i = scheme.lanes[who].index(p)
+        if who >= x.R or i >= x.C:
+            raise InsufficientTruncationError(
+                f"grid window {x.R}x{x.C} cannot decide point {p} (row {who}, column {i})"
+            )
+        labels.append(2 * who if x.bits[who][i] else 2 * who + 1)
+    return PartitionPrefix(relabel_canonical(labels))
+
+
 class TestReduceF:
     def test_all_zero_grid(self):
         x = BinaryGrid(tuple((0,) * 4 for _ in range(4)))
@@ -175,6 +195,27 @@ class TestReduceF:
     def test_window_too_small(self):
         with pytest.raises(InsufficientTruncationError):
             reduce_f(BinaryGrid(((0,),)), 9)
+
+    def test_equals_index_based_reference(self):
+        # grids one row or column either side of what L needs, so both outcomes occur
+        rng = random.Random(5)
+        errors = 0
+        for L in range(1, 401):
+            lanes = round_robin_alloc(L).lanes
+            need_rows = sum(1 for lane in lanes if lane)
+            need_cols = len(lanes[0]) if lanes else 0
+            x = random_grid(
+                rng, max(1, need_rows + rng.randint(-1, 1)), max(1, need_cols + rng.randint(-1, 1))
+            )
+            try:
+                expected = reference_reduce_f(x, L)
+            except InsufficientTruncationError as exc:
+                errors += 1
+                with pytest.raises(InsufficientTruncationError, match=f"^{re.escape(str(exc))}$"):
+                    reduce_f(x, L)
+            else:
+                assert reduce_f(x, L) == expected
+        assert 50 < errors < 350
 
     def test_forward_agreement(self):
         # grids equal from row n0 onward give partitions equal on blocks >= 2*n0

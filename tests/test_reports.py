@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import json
 import re
 
@@ -202,6 +203,30 @@ def test_more_document_texts_are_pinned(argv, code, pinned, fields, tmp_path, mo
     assert main(argv) == code
     stdout = _without_elapsed(capsys.readouterr().out, fields)
     assert stdout == pinned.replace('"out": "r.json"', '"out": null')
+
+
+# sha256 of the documents of perfbench's comb-sampled (one and two workers) and
+# comb-adversarial campaigns at seed 7, printed to stdout, without their elapsed_ms and out lines
+BENCHMARK_DIGESTS = {
+    "sampled": "d0f2f07bd9288d8ce5cd76948823cd7136eaf292c37f93a236db2f7d18682a90",
+    "sampled-jobs-2": "bb2064070acf1b71f4b834755477a56b999a1c89a4158f45e19364a2dbaa1e70",
+    "adversarial": "2c3dd9c06696027cd484de59d3b8bef54af9620d2e3d9de433837e5b05f4bd20",
+}
+
+
+@pytest.mark.parametrize(
+    "name, argv, code",
+    [
+        ("sampled", ["--k", "3", "--m", "2", "--N", "2", "--strategy", "sampled:20000:7"], 0),
+        ("sampled-jobs-2", ["--k", "3", "--m", "2", "--N", "2", "--strategy", "sampled:20000:7", "--jobs", "2"], 0),
+        ("adversarial", ["--k", "4", "--m", "4", "--N", "2", "--strategy", "adversarial:200:7"], 1),
+    ],
+)
+def test_benchmark_documents_are_pinned(name, argv, code, capsys):
+    assert main(["verify-comb", *argv]) == code
+    text, count = re.subn(r'\n *"(elapsed_ms|out)": [^\n]*,', "", capsys.readouterr().out)
+    assert count == 2
+    assert hashlib.sha256(text.encode()).hexdigest() == BENCHMARK_DIGESTS[name]
 
 
 Pair = collections.namedtuple("Pair", "a b")

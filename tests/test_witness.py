@@ -247,6 +247,73 @@ class TestVerifyComb:
         assert a.ratio == b.ratio
 
 
+# (k, m, N) and strategy per generator: assign (exhaustive), sampler, adversary
+GENERATED_CAMPAIGNS = [
+    *[(kmn, Exhaustive()) for kmn in [(1, 0, 1), (2, 2, 1), (1, 0, 3)]],
+    *[(kmn, Sampled(60, seed=3)) for kmn in [(2, 2, 2), (3, 0, 2), (3, 2, 2), (2, 1, 3)]],
+    *[(kmn, Adversarial(30, seed=5)) for kmn in [(2, 2, 2), (3, 0, 2), (3, 2, 2), (2, 1, 3)]],
+]
+
+
+def recorded_campaign(monkeypatch, kmn, strategy):
+    """verify_comb's report and every map it tested, in order."""
+    maps = []
+    real = witness_module.map_stream
+
+    def recording(*args):
+        stream, seed = real(*args)
+        return (maps.append(values) or values for values in stream), seed
+
+    monkeypatch.setattr(witness_module, "map_stream", recording)
+    return verify_comb(*kmn, strategy), maps
+
+
+class TestCampaignTables:
+    """The campaign checks only length and relevant values; these tests hold it to that."""
+
+    @pytest.mark.parametrize("kmn,strategy", GENERATED_CAMPAIGNS)
+    def test_generated_maps_differ_from_identity_only_at_relevant_keys(self, monkeypatch, kmn, strategy):
+        rep, maps = recorded_campaign(monkeypatch, kmn, strategy)
+        ctx = _comb_context(*kmn)
+        relevant = set(ctx.relevant)
+        assert len(maps) == rep.details["tested"] > 0
+        for values in maps:
+            assert all(v == ti for ti, v in enumerate(values) if ti not in relevant)
+            EMapTable(kmn[0] * kmn[2], values)  # the public constructor's full check
+
+    @pytest.mark.parametrize(
+        "corrupt,message",
+        [
+            (lambda values, ti, size: values[:ti] + (size,) + values[ti + 1 :], "value index out of range"),
+            (lambda values, ti, size: values[:ti] + (-1,) + values[ti + 1 :], "value index out of range"),
+            (lambda values, ti, size: values + (0,), "map must be total over 203 partitions"),
+        ],
+        ids=["size", "negative", "too-long"],
+    )
+    def test_corrupt_sampler_is_caught(self, monkeypatch, corrupt, message):
+        real = witness_module._sample_values
+
+        def corrupted(ctx, identity, rng, seed, i):
+            return corrupt(real(ctx, identity, rng, seed, i), ctx.relevant[-1], len(identity))
+
+        monkeypatch.setattr(witness_module, "_sample_values", corrupted)
+        with pytest.raises(DomainError, match=message):
+            verify_comb(3, 2, 2, Sampled(5, seed=1))
+
+    @pytest.mark.parametrize("kmn,strategy", GENERATED_CAMPAIGNS)
+    def test_every_witnessed_map_is_revalidated_once(self, monkeypatch, kmn, strategy):
+        calls = []
+        real = witness_module.witness_is_valid
+
+        def counting(e, s, m):
+            calls.append(s)
+            return real(e, s, m)
+
+        monkeypatch.setattr(witness_module, "witness_is_valid", counting)
+        rep = verify_comb(*kmn, strategy)
+        assert len(calls) == rep.details["tested"] - rep.details["failures"]
+
+
 # -- the lemma condition by nested rgs_leq loops: an oracle for the kernel --
 
 
