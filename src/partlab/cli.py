@@ -80,10 +80,16 @@ def _config_dict(args: argparse.Namespace) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
+# characters per write: a text file encodes each write into a new bytes
+# object, and one slice at a time keeps that copy small for a large report
+_OUT_SLICE = 1 << 16
+
+
 def _emit(args, payload: str) -> None:
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
-            fh.write(payload)
+            for start in range(0, len(payload), _OUT_SLICE):
+                fh.write(payload[start : start + _OUT_SLICE])
             if not payload.endswith("\n"):
                 fh.write("\n")
     else:

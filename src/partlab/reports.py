@@ -45,13 +45,18 @@ def json_text(doc: Any) -> str:
     once, so no container's text is copied into its parent's.
     Counterexample shapes repeat a few thousand distinct (t, e(t)) entries
     many times over, so each distinct tuple is rendered once per depth and
-    its joined text reused.  The memo is keyed by the tuple's marshal
-    bytes, not by the tuple: 1 == True and 0 == 0.0 hash alike but print
+    its joined text reused.  A tuple is first looked up by its identity,
+    which is safe because the document keeps every object alive during the
+    call, so an entry shared by many shapes is marshalled once per depth.
+    Equal tuples that are distinct objects meet under their marshal bytes,
+    not under the tuple: 1 == True and 0 == 0.0 hash alike but print
     differently, whereas marshal tells exact types apart and refuses
-    subclasses, which are then rendered unmemoised.  Document keys are
-    strings; any other key raises TypeError.
+    subclasses, whose tuples are then memoised by identity alone.
+    Document keys are strings; any other key raises TypeError.
     """
-    memo: dict[tuple[str, bytes], str] = {}
+    # (depth, id) and (depth, marshal bytes) keys share one dict: an int
+    # never equals a bytes object
+    memo: dict[tuple[str, object], str] = {}
     out: list[str] = []
     append = out.append
 
@@ -70,17 +75,20 @@ def json_text(doc: Any) -> str:
 
     def render(o, nl: str) -> None:
         if type(o) is tuple:  # the bulk of a document with shapes
-            try:
-                key = (nl, marshal.dumps(o, 2))
-            except ValueError:
-                array(o, nl)
-                return
-            text = memo.get(key)
+            ref = (nl, id(o))
+            text = memo.get(ref)
             if text is None:
-                start = len(out)
-                array(o, nl)
-                text = memo[key] = "".join(out[start:])
-                del out[start:]
+                try:
+                    key = (nl, marshal.dumps(o, 2))
+                except ValueError:
+                    key = ref
+                text = memo.get(key)
+                if text is None:
+                    start = len(out)
+                    array(o, nl)
+                    text = memo[key] = "".join(out[start:])
+                    del out[start:]
+                memo[ref] = text
             append(text)
         elif isinstance(o, str):
             append(_json_str(o))

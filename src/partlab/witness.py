@@ -14,15 +14,21 @@ relevant t yields the mask of candidates that e(t) invalidates, and the
 witness, the bad-pair census and the counterexample shape are all read
 off those masks.
 
+The kernel compares keys, not elements: a partition family's order is
+rgs_leq on the lex indices' partitions, asked once per pair of keys, and
+the section family's keys are point masks, so inclusion of masks is its
+order.
+
 Every returned witness is re-validated by an independent scan that
 shares no enumeration path with the search: the down-set of the witness
-is found by testing every t in Q(n), once per witness, and each of its
-members is checked against the lemma condition.  A comb campaign runs
-this scan for every witnessed map, on tables and partitions it built
-without the public constructors' full checks: every map it generates
-starts from the identity table and changes only relevant keys, so only
-the table's length and the values at those keys are checked.  Tables and
-partitions from outside a campaign keep the full checks.
+is found by testing every t in Q(n), once per witness, for being constant
+on each block of the witness, and each of its members is checked against
+the lemma condition.  A comb campaign runs this scan for every witnessed
+map, on tables and partitions it built without the public constructors'
+full checks: every map it generates starts from the identity table and
+changes only relevant keys, so only the table's length and the values at
+those keys are checked.  Tables and partitions from outside a campaign
+keep the full checks.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from operator import itemgetter
 from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import BudgetError, DomainError, ThresholdError
@@ -234,14 +241,14 @@ class _LemmaContext:
     candidates: tuple
     relevant: tuple[int, ...]  # keys of the t below at least one candidate
     below: dict[int, int]  # per relevant v: bitmask of the candidates s with v <= s
-    leq: Callable  # the order on elements: rgs_leq, or inclusion of point masks
+    leq: Callable  # the order on keys: rgs_leq of their partitions, or inclusion of point masks
 
 
 def _lemma_context(space, candidates: tuple, down: Callable, leq: Callable) -> _LemmaContext:
     """The kernel's tables for one candidate family, in the family's order.
 
-    down(s) gives the keys of the elements below candidate s, and leq(v, t)
-    compares two elements of space.
+    down(s) gives the keys of the elements below candidate s, and leq(vi, ti)
+    compares the elements of space at two keys.
     """
     below: dict[int, int] = {}
     for ci, s in enumerate(candidates):
@@ -252,13 +259,28 @@ def _lemma_context(space, candidates: tuple, down: Callable, leq: Callable) -> _
 
 
 def _partition_context(n: int, candidates: tuple[tuple[int, ...], ...]) -> _LemmaContext:
-    """Candidates from Q(n), keyed by lex index and ordered by coarsening."""
+    """Candidates from Q(n), keyed by lex index and ordered by coarsening.
+
+    The order is rgs_leq of the keys' partitions, memoised per pair of keys:
+    the memo holds only the pairs the kernel and _greedy_ties ask about,
+    and both ask only about relevant keys.
+    """
+    space = partition_space(n)
     index = _space_index(n)
+    memo: dict[tuple[int, int], bool] = {}
+
+    def leq(vi: int, ti: int) -> bool:
+        key = (vi, ti)
+        got = memo.get(key)
+        if got is None:
+            got = memo[key] = rgs_leq(space[vi], space[ti])
+        return got
+
     return _lemma_context(
-        partition_space(n),
+        space,
         candidates,
         lambda s: (index[t.rgs] for t in coarsenings_of(SetPartition(s))),
-        rgs_leq,
+        leq,
     )
 
 
@@ -282,7 +304,6 @@ def _kill_masks(ctx: _LemmaContext, values) -> dict[int, int]:
     unless e(t) <= t; a value below no candidate kills nothing.  Only
     nonzero masks are kept; a candidate is a witness iff no mask has its bit.
     """
-    space = ctx.space
     below = ctx.below
     leq = ctx.leq
     kills = {}
@@ -291,7 +312,7 @@ def _kill_masks(ctx: _LemmaContext, values) -> dict[int, int]:
         mask = above_t & below.get(vi, 0)
         # e(t) <= t gives below[e(t)] >= below[t] by transitivity, so any
         # other mask already means e(t) !<= t and the order need not be asked
-        if mask and (mask != above_t or not leq(space[vi], space[ti])):
+        if mask and (mask != above_t or not leq(vi, ti)):
             kills[ti] = mask
     return kills
 
@@ -320,24 +341,41 @@ def _census(ctx: _LemmaContext, kills: dict[int, int]) -> dict[tuple[int, ...], 
     return per
 
 
-def _blocking_shape(values: tuple[int, ...], kills: dict[int, int]) -> frozenset[tuple[int, int]]:
-    """The entries of e that invalidate candidates, the failing map's shape, as key pairs."""
-    return frozenset([(ti, values[ti]) for ti in kills])
+def _blocking_shape(
+    values: tuple[int, ...], kills: dict[int, int]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The entries of e that invalidate candidates, the failing map's shape.
+
+    The keys t and their values e(t), as two tuples in ascending key order:
+    kills follows ctx.below, which is built in ascending key order.
+    """
+    return tuple(kills), tuple(map(values.__getitem__, kills))
 
 
 @lru_cache(maxsize=1024)
 def _down_set(n: int, s: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
-    """Every t <= s, found by testing each t in Q(n) from scratch."""
-    return frozenset(t for t in iter_rgs(n) if rgs_leq(t, s))
+    """Every t <= s, found by testing each t in Q(n).
+
+    t <= s iff t is constant on each block of s, that is iff reading t at
+    each point's least block-mate in s gives t back.  The test shares no
+    code with the kernel's tables, coarsenings_of or rgs_leq.
+    """
+    space = partition_space(n)
+    if n < 2:
+        return frozenset(space)  # Q(0) and Q(1) hold one partition, below every s
+    least: dict[int, int] = {}
+    mates = itemgetter(*[least.setdefault(block, i) for i, block in enumerate(s)])
+    return frozenset(t for t in space if mates(t) == t)
 
 
 def witness_is_valid(e: EMapTable, s: SetPartition, m: int) -> bool:
     """Independent re-validation of a witness over its down-set.
 
     Deliberately avoids the candidate/coarsening tables used by the
-    search: the down-set of s is found by testing every t in Q(n), once
-    per s, and the lemma condition is checked pair by pair, with e(t) <= s
-    read as membership of e(t) in that down-set.
+    search: the down-set of s is found by testing every t in Q(n) for
+    being constant on each block of s, once per s, and the lemma condition
+    is checked pair by pair, with e(t) <= s read as membership of e(t) in
+    that down-set and e(t) <= t asked of rgs_leq.
     """
     if s.n != e.n:
         raise DomainError(f"candidate has {s.n} points, map is over {e.n}")
@@ -420,17 +458,15 @@ def _sample_values(
 @lru_cache(maxsize=16)
 def _greedy_ties(ctx: _LemmaContext) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """(t, its maximally invalidating values in ascending key order) for each t that has any."""
-    space = ctx.space
     leq = ctx.leq
     table = []
     for ti, above_t in ctx.below.items():
-        t = space[ti]
         ties = []
         top = 0
         # score > 0 needs v <= some candidate, so v is relevant
         for vi, below_v in ctx.below.items():
             score = (above_t & below_v).bit_count()
-            if score == 0 or score < top or leq(space[vi], t):
+            if score == 0 or score < top or leq(vi, ti):
                 continue  # not maximal, or e(t) <= t, which never invalidates
             if score > top:
                 top = score
@@ -530,7 +566,7 @@ def verify_comb(k: int, m: int, N: int, strategy: Strategy) -> WitnessReport:
 
     tested = 0
     failures = 0
-    shapes: dict[frozenset[tuple[int, int]], None] = {}  # insertion-ordered set
+    shapes: dict[tuple[tuple[int, ...], tuple[int, ...]], None] = {}  # insertion-ordered set
     worst_bad = -1
     worst_kills: dict[int, int] = {}
     worst_witness: Optional[tuple[int, ...]] = None
@@ -555,7 +591,11 @@ def verify_comb(k: int, m: int, N: int, strategy: Strategy) -> WitnessReport:
             worst_witness = witness
 
     worst_census = _census(ctx, worst_kills)
-    space = ctx.space  # strictly increasing, so key pairs sort as their rgs pairs
+    space = ctx.space
+    # one entry per distinct key pair, shared by every shape holding it, so
+    # json_text renders it once; a shape's keys ascend and space is strictly
+    # increasing, so its entries ascend as rgs pairs
+    entry = lru_cache(maxsize=None)(lambda ti, vi: (space[ti], space[vi]))
     return WitnessReport(
         params={"k": k, "m": m, "N": N},
         strategy=strategy.label(),
@@ -571,9 +611,7 @@ def verify_comb(k: int, m: int, N: int, strategy: Strategy) -> WitnessReport:
             "failures": failures,
             "all_witnessed": failures == 0,
             "pigeonhole_ok": pigeonhole_ok,
-            "counterexample_shapes": [
-                [(space[ti], space[vi]) for ti, vi in sorted(shape)] for shape in shapes
-            ],
+            "counterexample_shapes": [list(map(entry, *shape)) for shape in shapes],
         },
     )
 

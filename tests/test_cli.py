@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from partlab import cli
 from partlab.cli import main
 from partlab.partitions import enumerate_equipartitions, enumerate_partitions
 
@@ -521,6 +523,18 @@ class TestCampaignRoundTrip:
             "--out", str(out_path), capsys=capsys,
         )
         assert code == 2
+
+
+class TestEmit:
+    @pytest.mark.parametrize("extra", [0, 12345])
+    @pytest.mark.parametrize("ending", ["", "\n"])
+    def test_out_file_gets_a_long_payload_byte_for_byte(self, extra, ending, tmp_path):
+        size = 3 * cli._OUT_SLICE + extra
+        payload = "".join("\n" if i % 80 == 79 else chr(33 + i % 94) for i in range(size)) + ending
+        assert not payload.endswith("\n") or ending
+        out = tmp_path / "payload.txt"
+        cli._emit(argparse.Namespace(out=str(out)), payload)
+        assert out.read_bytes() == (payload if ending else payload + "\n").encode()
 
 
 class TestConsoleScript:

@@ -231,6 +231,11 @@ def test_benchmark_documents_are_pinned(name, argv, code, capsys):
 
 Pair = collections.namedtuple("Pair", "a b")
 
+# tuple objects that the cases below reach from several places, so the
+# writer's identity lookup finds each of them again
+SHARED = (1, (2, "x"))
+HOLDS_PAIR = (Pair(1, (2,)), 3)  # marshal refuses it for the namedtuple inside
+
 
 def _indented(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
@@ -272,6 +277,7 @@ class TestJsonText:
             {"a": [(1, 1), (1, True)], "b": [(1, True), (1, 1)]},
             [[(0,), (0.0,)], [(0.0,), (0,)]],
             [(0.0,), (-0.0,), ((1,),), ((True,),)],
+            [(1,), (True,), (1.0,), [(1.0,), (True,), (1,)]],
         ],
     )
     def test_memo_tells_equal_values_of_other_types_apart(self, doc):
@@ -296,6 +302,12 @@ class TestJsonText:
             [],
             {},
             (),
+            # one tuple object at two depths, then again at the first
+            [SHARED, [SHARED, {"k": SHARED}], SHARED],
+            # equal tuples that are distinct objects, at one depth
+            [tuple([1, (2, "x")]), tuple([1, (2, "x")]), SHARED],
+            # one tuple object holding a namedtuple, reused at two depths
+            [HOLDS_PAIR, HOLDS_PAIR, [HOLDS_PAIR], (HOLDS_PAIR, Pair(1, (2,)))],
         ],
     )
     def test_streaming_edges_equal_indented_json_dumps(self, doc):

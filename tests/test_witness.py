@@ -317,11 +317,17 @@ class TestCampaignTables:
 # -- the lemma condition by nested rgs_leq loops: an oracle for the kernel --
 
 
+@lru_cache(maxsize=None)
+def scan_down_set(n, s):
+    """Every t <= s, by rgs_leq over a fresh enumeration of Q(n)."""
+    return frozenset(t for t in iter_rgs(n) if rgs_leq(t, s))
+
+
 @lru_cache(maxsize=32)
 def oracle_keys(ctx):
-    """Per candidate, the keys of the t below it, from _down_set's full scan of Q(n)."""
+    """Per candidate, the keys of the t below it, from a full rgs_leq scan of Q(n)."""
     index = {t: i for i, t in enumerate(ctx.space)}
-    return tuple(frozenset(index[t] for t in _down_set(len(s), s)) for s in ctx.candidates)
+    return tuple(frozenset(index[t] for t in scan_down_set(len(s), s)) for s in ctx.candidates)
 
 
 def oracle_witness(ctx, values):
@@ -412,7 +418,7 @@ class TestLemmaKernel:
             assert _census(ctx, kills) == per
             assert _bad_count(kills) == sum(per.values())
             shape = _blocking_shape(values, kills)
-            assert {(ctx.space[ti], ctx.space[vi]) for ti, vi in shape} == oracle_shape(ctx, values)
+            assert {(ctx.space[ti], ctx.space[vi]) for ti, vi in zip(*shape)} == oracle_shape(ctx, values)
             verdicts.add(witness is not None)
             bad_maps += bool(kills)
         assert bad_maps and True in verdicts
@@ -431,6 +437,14 @@ class TestLemmaKernel:
         assert ctx.relevant == tuple(sorted(ctx.below)) == tuple(sorted(set().union(*keys)))
         for ti, mask in ctx.below.items():
             assert mask == sum(1 << ci for ci, coar in enumerate(keys) if ti in coar)
+
+    # every s up to 7 points; at 8 points every 41st s in lex order and the
+    # last, since all 4140 would ask rgs_leq of 4140**2 pairs
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_down_set_equals_the_rgs_leq_scan(self, n):
+        space = partition_space(n)
+        for s in space if n < 8 else space[::41] + space[-1:]:
+            assert _down_set(n, s) == scan_down_set(n, s)
 
     @pytest.mark.parametrize("kmn", KERNEL_CONFIGS + FUSION_CONFIGS)
     def test_down_set_is_the_coarsening_set(self, kmn):
@@ -510,6 +524,14 @@ class TestAdversary:
         for shape in shapes:
             assert shape == sorted(set(shape))
             assert all(t in space and v in space and not rgs_leq(v, t) for t, v in shape)
+
+    def test_shapes_share_one_entry_per_key_pair(self):
+        rep = verify_comb(4, 4, 2, Adversarial(10, seed=3))
+        entries = [entry for shape in rep.details["counterexample_shapes"] for entry in shape]
+        first = {}
+        for entry in entries:
+            assert first.setdefault(entry, entry) is entry
+        assert len(entries) > len(first)  # some key pair is in more than one shape
 
 
 @pytest.mark.parametrize("n", range(1, 10))
