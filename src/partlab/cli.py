@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import functools
 import json
 import os
@@ -112,7 +111,7 @@ def _emit_report(args, report: WitnessReport) -> None:
         _emit(args, report.to_csv())
     elif args.format == "table":
         d = report.to_json_dict()
-        lines = [f"{name:18} {d[name]}" for name in ("params", "strategy", "seed") + WitnessReport.CSV_FIELDS[2:]]
+        lines = [f"{name:18} {d[name]}" for name in ("params",) + WitnessReport.CSV_FIELDS]
         _emit(args, "\n".join(lines))
     else:
         _emit_doc(args, report=report.to_json_dict())
@@ -179,8 +178,7 @@ def cmd_verify_comb(args) -> int:
             args.jobs,
         )
         # the wall time of this invocation, not the sum of the chunks' times
-        wall_ms = (time.perf_counter() - start) * 1000.0
-        report = dataclasses.replace(merge_campaign(parts, strategy), elapsed_ms=wall_ms)
+        report = merge_campaign(parts, strategy, (time.perf_counter() - start) * 1000.0)
     else:
         report = verify_comb(args.k, args.m, args.N, strategy)
     _emit_report(args, report)
@@ -296,12 +294,8 @@ def cmd_fusion_demo(args) -> int:
     rng = random.Random(args.seed)
     B = PartitionPrefix.discrete(args.L)
     mprime = args.Mprime
-    space = partition_space(mprime)
-    table = {}
-    for t in space:
-        key = induced_coarsening_h(SetPartition(t), B, mprime)
-        value = induced_coarsening_h(SetPartition(rng.choice(space)), B, mprime)
-        table[key] = value
+    hs = [induced_coarsening_h(SetPartition(t), B, mprime) for t in partition_space(mprime)]
+    table = {h: rng.choice(hs) for h in hs}
     B_new = fusion_step(B, table, args.n0, args.ell, mprime)
     cond1, cond2 = fusion_conditions_hold(B, B_new, table, args.n0, args.ell)
     _emit_doc(

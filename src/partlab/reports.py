@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import marshal
 from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
@@ -44,19 +43,14 @@ def json_text(doc: Any) -> str:
     its rules, and every fragment is appended to one list that is joined
     once, so no container's text is copied into its parent's.
     Counterexample shapes repeat a few thousand distinct (t, e(t)) entries
-    many times over, so each distinct tuple is rendered once per depth and
-    its joined text reused.  A tuple is first looked up by its identity,
-    which is safe because the document keeps every object alive during the
-    call, so an entry shared by many shapes is marshalled once per depth.
-    Equal tuples that are distinct objects meet under their marshal bytes,
-    not under the tuple: 1 == True and 0 == 0.0 hash alike but print
-    differently, whereas marshal tells exact types apart and refuses
-    subclasses, whose tuples are then memoised by identity alone.
+    many times over, and in a campaign's report every shape holding an
+    entry holds the same tuple object, so each tuple is rendered once per
+    depth, looked up by its identity, and its joined text reused.
+    Identity is safe because the document keeps every object alive during
+    the call.  Tuple subclasses render as lists, unmemoised.
     Document keys are strings; any other key raises TypeError.
     """
-    # (depth, id) and (depth, marshal bytes) keys share one dict: an int
-    # never equals a bytes object
-    memo: dict[tuple[str, object], str] = {}
+    memo: dict[tuple[str, int], str] = {}
     out: list[str] = []
     append = out.append
 
@@ -75,20 +69,13 @@ def json_text(doc: Any) -> str:
 
     def render(o, nl: str) -> None:
         if type(o) is tuple:  # the bulk of a document with shapes
-            ref = (nl, id(o))
-            text = memo.get(ref)
+            key = (nl, id(o))
+            text = memo.get(key)
             if text is None:
-                try:
-                    key = (nl, marshal.dumps(o, 2))
-                except ValueError:
-                    key = ref
-                text = memo.get(key)
-                if text is None:
-                    start = len(out)
-                    array(o, nl)
-                    text = memo[key] = "".join(out[start:])
-                    del out[start:]
-                memo[ref] = text
+                start = len(out)
+                array(o, nl)
+                text = memo[key] = "".join(out[start:])
+                del out[start:]
             append(text)
         elif isinstance(o, str):
             append(_json_str(o))

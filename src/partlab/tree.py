@@ -227,13 +227,14 @@ def verify_tree(k: int, N: int, strategy: Strategy) -> WitnessReport:
     for e in tables:
         tested += 1
         witness = find_section_witness(e, P)  # checks that e is total
-        bad_sections = sum(not _witness_valid(e, E) for E in ctx.candidates)
-        if (witness is None) != (bad_sections == ct):
+        valid = {E for E in ctx.candidates if _witness_valid(e, E)}
+        if (witness is None) != (not valid):
             raise RuntimeError("section witness search disagrees with the independent count")
         if witness is None:
             failures += 1
-        elif not _witness_valid(e, witness):
+        elif witness not in valid:
             raise RuntimeError("section witness failed independent re-validation")
+        bad_sections = ct - len(valid)
         if bad_sections > worst_bad_sections:
             worst_bad_sections = bad_sections
             worst_witness = witness

@@ -466,7 +466,7 @@ class TestCampaignRoundTrip:
         other = verify_comb(2, 2, 1, Sampled(5, seed=1, start=5))
         other.details["pigeonhole_ok"] = False
         assert worst.bad_pair_count >= other.bad_pair_count
-        merged = merge_campaign([worst, other], Sampled(10, seed=1))
+        merged = merge_campaign([worst, other], Sampled(10, seed=1), 0.0)
         assert merged.details["pigeonhole_ok"] is False
 
     def test_merged_report_has_the_invocation_wall_time(self, monkeypatch, capsys):

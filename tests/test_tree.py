@@ -238,6 +238,34 @@ class TestVerifyTree:
         with pytest.raises(RuntimeError, match="disagrees"):
             verify_tree(k, N, strategy)
 
+    def test_witness_must_pass_re_validation(self, monkeypatch):
+        def bad(e, E):
+            pts = sorted(E)
+            subsets = (frozenset(c) for r in range(len(pts) + 1) for c in itertools.combinations(pts, r))
+            return any(not (e[F] <= F or not e[F] <= E) for F in subsets)
+
+        def bad_section_beside_a_good_one(e, P):
+            complete = [E for E in enumerate_sections(P) if len(E) == P.k]
+            verdicts = [bad(e, E) for E in complete]
+            if all(verdicts) or not any(verdicts):
+                return find_section_witness(e, P)
+            return complete[verdicts.index(True)]
+
+        # the worst of these maps has 5 of 9 complete sections bad, so some map mixes both
+        monkeypatch.setattr("partlab.tree.find_section_witness", bad_section_beside_a_good_one)
+        with pytest.raises(RuntimeError, match="section witness failed independent re-validation"):
+            verify_tree(2, 3, Sampled(300, seed=3))
+
+    @pytest.mark.parametrize(
+        "k, N, strategy", [(2, 3, Sampled(40, seed=3)), (1, 1, Exhaustive(cap=10**4))], ids=["sampled", "exhaustive"]
+    )
+    def test_one_independent_verdict_per_complete_section(self, monkeypatch, k, N, strategy):
+        calls = []
+        real = tree_module._witness_valid
+        monkeypatch.setattr(tree_module, "_witness_valid", lambda e, E: calls.append(E) or real(e, E))
+        rep = verify_tree(k, N, strategy)
+        assert len(calls) == rep.details["tested"] * rep.candidate_count
+
     def test_deterministic_given_seed(self):
         a = verify_tree(2, 3, Sampled(30, seed=5))
         b = verify_tree(2, 3, Sampled(30, seed=5))

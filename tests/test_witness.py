@@ -136,6 +136,11 @@ class TestBadPairs:
                     if bad:
                         assert is_coarsening(meet_refine(t, et), s)
 
+    def test_reported_witness_must_pass_re_validation(self, monkeypatch):
+        monkeypatch.setattr(witness_module, "witness_is_valid", lambda e, s, m: False)
+        with pytest.raises(RuntimeError, match="witness failed independent re-validation"):
+            bad_pairs(EMapTable.identity(4), 2, 2, 2)
+
 
 # (m, mprime) of fusion steps, whose candidates are all of Q^m(mprime)
 FUSION_CONFIGS = [(0, 3), (2, 3), (1, 4), (2, 4), (2, 5)]
@@ -239,6 +244,11 @@ class TestVerifyComb:
         b = verify_comb(2, 2, 2, Sampled(30, seed=11))
         assert a.to_json_dict()["details"] == b.to_json_dict()["details"]
         assert a.ratio == b.ratio
+
+    def test_witness_must_pass_re_validation(self, monkeypatch):
+        monkeypatch.setattr(witness_module, "witness_is_valid", lambda e, s, m: False)
+        with pytest.raises(RuntimeError, match="witness failed independent re-validation"):
+            verify_comb(3, 2, 2, Sampled(5, seed=7))  # every sampled (3, 2, 2) map has a witness
 
     def test_adversarial_first_map_is_deterministic_greedy(self):
         a = verify_comb(2, 2, 2, Adversarial(1, seed=0))
