@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import os
 import random
@@ -38,6 +39,7 @@ from .witness import (
     EMapTable,
     Exhaustive,
     Sampled,
+    _space_size,
     bad_pairs,
     fusion_conditions_hold,
     fusion_step,
@@ -250,8 +252,11 @@ def _build_emap(text: str, n: int) -> EMapTable:
         rng = random.Random(int(fields[0]) if fields else 0)
     except ValueError as exc:  # DomainError is one too; BudgetError is not
         raise DomainError(f"e-map {text!r}: {exc}") from None
-    size = len(partition_space(n))
-    return EMapTable(n, tuple(rng.randrange(size) for _ in range(size)))
+    # each value drawn as randrange(size) draws it, without its per-call
+    # overhead: getrandbits of size's bit length, keeping the draws below size
+    size = _space_size(n)
+    draws = iter(functools.partial(rng.getrandbits, size.bit_length()), -1)  # never -1: endless
+    return EMapTable(n, tuple(itertools.islice((v for v in draws if v < size), size)))
 
 
 def cmd_bad_pairs(args) -> int:

@@ -17,6 +17,7 @@ lazy generators in lexicographic rgs order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 from .errors import DomainError
@@ -165,6 +166,46 @@ def _extend_rgs(n: int, base: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
             yield prefix + (v,)
 
 
+@lru_cache(maxsize=None)
+def _completions(n: int) -> tuple[tuple[int, ...], ...]:
+    """Per point i of a length-n rgs, C(n-1-i, b) for each b <= i.
+
+    C(r, b), the ways to finish with r points to go and b blocks open, is 1 at
+    r = 0 and b*C(r-1, b) + C(r-1, b+1) after: the next point joins or opens a block.
+    """
+    rows = [(1,) * n] if n else []
+    for r in range(1, n):
+        prev = rows[-1]
+        rows.append(tuple(b * prev[b] + prev[b + 1] for b in range(n - r)))
+    return tuple(reversed(rows))
+
+
+@lru_cache(maxsize=1 << 17)  # all of Q(10), the largest space a fusion step reaches
+def _rgs_rank(rgs: tuple[int, ...]) -> int:
+    """The position of rgs in iter_rgs(len(rgs)), memoised (Knuth, TAOCP 7.2.1.5).
+
+    Each smaller value at point i, with b blocks open before it, skips C(n-1-i, b) strings.
+    """
+    rank = blocks = 0
+    for v, row in zip(rgs, _completions(len(rgs))):
+        rank += v * row[blocks]
+        blocks += v == blocks
+    return rank
+
+
+def _rgs_unrank(n: int, rank: int) -> tuple[int, ...]:
+    """The rgs at position rank of iter_rgs(n); the inverse of _rgs_rank."""
+    out: list[int] = []
+    blocks = 0
+    for row in _completions(n):
+        # each value below `blocks` skips row[blocks] strings; value `blocks` opens a block
+        v = min(rank // row[blocks], blocks)
+        rank -= v * row[blocks]
+        blocks += v == blocks
+        out.append(v)
+    return tuple(out)
+
+
 def enumerate_partitions(n: int, m: int = 0) -> Iterator[SetPartition]:
     """Stream every partition of n points separating the first m, lex order."""
     for rgs in iter_rgs(n, m):
@@ -238,16 +279,16 @@ def count_equipartitions(k: int, N: int) -> int:
     return factorial(k * N) // (factorial(N) ** k * factorial(k))
 
 
-def coarsenings_of(s: SetPartition) -> Iterator[SetPartition]:
-    """All t <= s, by merging s-blocks along every partition of the block set.
+def _coarsening_rgs(s: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Every t <= s of a non-empty rgs s, merging s-blocks along every partition of the blocks.
 
     s numbers its blocks by first occurrence and q is an rgs, so the
     composition q[s[i]] is already canonical.
     """
-    k = s.num_blocks
-    if k == 0:
-        yield s
-        return
-    srgs = s.rgs
-    for q in iter_rgs(k):
-        yield _trusted(tuple(q[v] for v in srgs))
+    for q in iter_rgs(max(s) + 1):
+        yield tuple(q[v] for v in s)
+
+
+def coarsenings_of(s: SetPartition) -> Iterator[SetPartition]:
+    """All t <= s, in the order of _coarsening_rgs; the empty partition is its own."""
+    yield from map(_trusted, _coarsening_rgs(s.rgs)) if s.n else (s,)

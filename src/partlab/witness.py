@@ -14,21 +14,21 @@ relevant t yields the mask of candidates that e(t) invalidates, and the
 witness, the bad-pair census and the counterexample shape are all read
 off those masks.
 
-The kernel compares keys, not elements: a partition family's order is
-rgs_leq on the lex indices' partitions, asked once per pair of keys, and
-the section family's keys are point masks, so inclusion of masks is its
-order.
+The kernel compares keys, not elements.  A partition's key is its lex rank
+in Q(n), computed arithmetically, so a partition family's context holds
+only its relevant partitions, ordered by rgs_leq asked once per pair of
+keys.  The section family's keys are point masks, ordered by inclusion.
 
-Every returned witness is re-validated by an independent scan that
+Every returned witness is re-validated by an independent check that
 shares no enumeration path with the search: the down-set of the witness
-is found by testing every t in Q(n), once per witness, for being constant
-on each block of the witness, and each of its members is checked against
-the lemma condition.  A comb campaign runs this scan for every witnessed
-map, on tables and partitions it built without the public constructors'
-full checks: every map it generates starts from the identity table and
-changes only relevant keys, so only the table's length and the values at
-those keys are checked.  Tables and partitions from outside a campaign
-keep the full checks.
+is enumerated point by point, once per witness (see _down_set), and each
+member, keyed by its rank, is checked against the lemma condition.  A
+comb campaign runs this check for every witnessed map, on tables and
+partitions it built without the public constructors' full checks: every
+map it generates starts from the identity table and changes only relevant
+keys, so only the table's length and the values at those keys are
+checked.  Tables and partitions from outside a campaign keep the full
+checks.
 """
 
 from __future__ import annotations
@@ -40,17 +40,20 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from operator import itemgetter
-from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
+from types import MappingProxyType
+from typing import Callable, Iterator, Mapping, Optional, Union
 
 from .errors import BudgetError, DomainError, ThresholdError
 from .partitions import (
     SetPartition,
+    _coarsening_rgs,
+    _rgs_rank,
+    _rgs_unrank,
     _trusted,
-    coarsenings_of,
     count_partitions,
     iter_equipartition_rgs,
     iter_rgs,
+    rgs_is_valid,
     rgs_leq,
 )
 from .prefixes import (
@@ -84,25 +87,27 @@ __all__ = [
 _SPACE_CAP = 500_000
 
 
+@lru_cache(maxsize=None)
+def _space_size(n: int) -> int:
+    """|Q(n)|, for a table or tuple over all of Q(n); BudgetError where that is too large."""
+    size = count_partitions(n)
+    if size > _SPACE_CAP:
+        raise BudgetError(f"partition space of {n} points is too large to materialize")
+    return size
+
+
 @lru_cache(maxsize=32)
 def partition_space(n: int) -> tuple[tuple[int, ...], ...]:
     """All rgs of Q(n) in lexicographic order, materialized once."""
-    if count_partitions(n) > _SPACE_CAP:
-        raise BudgetError(f"partition space of {n} points is too large to materialize")
+    _space_size(n)
     return tuple(iter_rgs(n))
-
-
-@lru_cache(maxsize=32)
-def _space_index(n: int) -> dict[tuple[int, ...], int]:
-    return {rgs: i for i, rgs in enumerate(partition_space(n))}
 
 
 def _lex_index(n: int, rgs: tuple[int, ...]) -> int:
     """The lex index of rgs in Q(n); DomainError for anything else."""
-    key = _space_index(n).get(rgs)
-    if key is None:
+    if len(rgs) != n or not rgs_is_valid(rgs):
         raise DomainError(f"{rgs!r} is not a partition in Q({n})")
-    return key
+    return _rgs_rank(rgs)
 
 
 @dataclass(frozen=True)
@@ -113,25 +118,26 @@ class EMapTable:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        size = len(partition_space(self.n))
+        size = _space_size(self.n)
         if len(self.values) != size:
             raise DomainError(f"map must be total over {size} partitions")
         if min(self.values) < 0 or max(self.values) >= size:
             raise DomainError("value index out of range")
 
     def apply_rgs(self, rgs: tuple[int, ...]) -> tuple[int, ...]:
-        return partition_space(self.n)[self.values[_lex_index(self.n, rgs)]]
+        return _rgs_unrank(self.n, self.values[_lex_index(self.n, rgs)])
 
     def apply(self, t: SetPartition) -> SetPartition:
         return SetPartition(self.apply_rgs(t.rgs))
 
     @classmethod
     def identity(cls, n: int) -> "EMapTable":
-        return cls(n, tuple(range(len(partition_space(n)))))
+        return cls(n, tuple(range(_space_size(n))))
 
     @classmethod
     def constant(cls, n: int, value: SetPartition) -> "EMapTable":
-        return cls(n, (_lex_index(n, value.rgs),) * len(partition_space(n)))
+        size = _space_size(n)
+        return cls(n, (_lex_index(n, value.rgs),) * size)
 
     @classmethod
     def from_assignments(
@@ -143,7 +149,7 @@ class EMapTable:
         the lemma condition when the assigned set covers every coarsening
         of a candidate.
         """
-        values = list(range(len(partition_space(n))))
+        values = list(range(_space_size(n)))
         for arg, val in assignments.items():
             values[_lex_index(n, arg)] = _lex_index(n, val)
         return cls(n, tuple(values))
@@ -231,7 +237,7 @@ def map_stream(
 
 @dataclass(frozen=True, eq=False)  # hashed by identity, so _greedy_ties can cache per context
 class _LemmaContext:
-    space: Sequence  # key -> the element it stands for: a tuple of rgs, or a range of point masks
+    space: Union[Mapping, range]  # key -> its element: the relevant keys' rgs, or a range of point masks
     candidates: tuple
     relevant: tuple[int, ...]  # keys of the t below at least one candidate
     below: dict[int, int]  # per relevant v: bitmask of the candidates s with v <= s
@@ -252,15 +258,28 @@ def _lemma_context(space, candidates: tuple, down: Callable, leq: Callable) -> _
     return _LemmaContext(space, candidates, relevant, {ti: below[ti] for ti in relevant}, leq)
 
 
-def _partition_context(n: int, candidates: tuple[tuple[int, ...], ...]) -> _LemmaContext:
-    """Candidates from Q(n), keyed by lex index and ordered by coarsening.
+class _RankIndex(dict):
+    """rgs -> lex rank, ranked on the first lookup, a plain subscript after; space maps back."""
 
-    The order is rgs_leq of the keys' partitions, memoised per pair of keys:
-    the memo holds only the pairs the kernel and _greedy_ties ask about,
-    and both ask only about relevant keys.
+    def __init__(self):
+        super().__init__()
+        self.space: dict[int, tuple[int, ...]] = {}
+
+    def __missing__(self, rgs: tuple[int, ...]) -> int:
+        key = self[rgs] = _rgs_rank(rgs)
+        self.space[key] = rgs
+        return key
+
+
+def _partition_context(candidates: tuple[tuple[int, ...], ...]) -> _LemmaContext:
+    """Candidates from one Q(n), keyed by lex rank and ordered by coarsening.
+
+    space holds the relevant keys only, each ranked when first found.  The
+    order is rgs_leq of the keys' partitions, memoised per pair of keys that
+    the kernel and _greedy_ties ask about, all of them relevant.
     """
-    space = partition_space(n)
-    index = _space_index(n)
+    index = _RankIndex()
+    space = index.space
     memo: dict[tuple[int, int], bool] = {}
 
     def leq(vi: int, ti: int) -> bool:
@@ -270,24 +289,21 @@ def _partition_context(n: int, candidates: tuple[tuple[int, ...], ...]) -> _Lemm
             got = memo[key] = rgs_leq(space[vi], space[ti])
         return got
 
-    return _lemma_context(
-        space,
-        candidates,
-        lambda s: (index[t.rgs] for t in coarsenings_of(SetPartition(s))),
-        leq,
-    )
+    return _lemma_context(space, candidates, lambda s: map(index.__getitem__, _coarsening_rgs(s)), leq)
 
 
 @lru_cache(maxsize=16)
 def _comb_context(k: int, m: int, N: int) -> _LemmaContext:
     """The comb campaigns' candidates: equipartitions of kN points separating the first m."""
-    return _partition_context(k * N, tuple(iter_equipartition_rgs(k, N, m)))
+    candidates = tuple(iter_equipartition_rgs(k, N, m))
+    _space_size(k * N)  # a comb campaign's maps are tables over all of Q(kN)
+    return _partition_context(candidates)
 
 
 @lru_cache(maxsize=16)
 def _fusion_context(m: int, mprime: int) -> _LemmaContext:
     """The fusion step's candidates: all of Q^m(mprime)."""
-    return _partition_context(mprime, tuple(iter_rgs(mprime, m)))
+    return _partition_context(tuple(iter_rgs(mprime, m)))
 
 
 def _kill_masks(ctx: _LemmaContext, values) -> dict[int, int]:
@@ -347,42 +363,46 @@ def _blocking_shape(
 
 
 @lru_cache(maxsize=1024)
-def _down_set(n: int, s: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
-    """Every t <= s, found by testing each t in Q(n).
+def _down_set(s: tuple[int, ...]) -> Mapping[int, tuple[int, ...]]:
+    """Every t <= s, keyed by lex rank, enumerated point by point, each once.
 
-    t <= s iff t is constant on each block of s, that is iff reading t at
-    each point's least block-mate in s gives t back.  The test shares no
-    code with the kernel's tables, coarsenings_of or rgs_leq.
+    t <= s iff t is constant on each block of s: the least point of each
+    s-block takes any block of t opened so far, or a new one, and every
+    other point copies its least block-mate's block.  The cost grows with the
+    down-set, not with Q(n), and the enumeration shares no code with the
+    kernel's tables, the context's coarsening enumeration or rgs_leq.
     """
-    space = partition_space(n)
-    if n < 2:
-        return frozenset(space)  # Q(0) and Q(1) hold one partition, below every s
-    least: dict[int, int] = {}
-    mates = itemgetter(*[least.setdefault(block, i) for i, block in enumerate(s)])
-    return frozenset(t for t in space if mates(t) == t)
+    least: list[int] = []  # per s-block, its least point
+    prefixes: list[tuple[tuple[int, ...], int]] = [((), 0)]  # prefixes of t, with their block counts
+    for i, block in enumerate(s):
+        if block == len(least):
+            least.append(i)
+            prefixes = [(t + (v,), b + (v == b)) for t, b in prefixes for v in range(b + 1)]
+        else:
+            mate = least[block]
+            prefixes = [(t + (t[mate],), b) for t, b in prefixes]
+    return MappingProxyType({_rgs_rank(t): t for t, _ in prefixes})  # read-only: it is cached
 
 
 def witness_is_valid(e: EMapTable, s: SetPartition, m: int) -> bool:
     """Independent re-validation of a witness over its down-set.
 
     Deliberately avoids the candidate/coarsening tables used by the
-    search: the down-set of s is found by testing every t in Q(n) for
-    being constant on each block of s, once per s, and the lemma condition
-    is checked pair by pair, with e(t) <= s read as membership of e(t) in
-    that down-set and e(t) <= t asked of rgs_leq.
+    search: the down-set of s is enumerated point by point, once per s,
+    and the lemma condition is checked pair by pair, with e(t) <= s read
+    as membership of e(t)'s key in that down-set and e(t) <= t asked of
+    rgs_leq.
     """
     if s.n != e.n:
         raise DomainError(f"candidate has {s.n} points, map is over {e.n}")
     rgs = s.rgs
     if any(rgs[i] != i for i in range(min(m, len(rgs)))):
         return False
-    space = partition_space(e.n)
-    index = _space_index(e.n)
     values = e.values
-    down = _down_set(e.n, rgs)
-    for t in down:
-        v = space[values[index[t]]]
-        if v in down and not rgs_leq(v, t):
+    down = _down_set(rgs)
+    for key, t in down.items():
+        v = down.get(values[key])
+        if v is not None and not rgs_leq(v, t):
             return False
     return True
 
@@ -516,7 +536,7 @@ def _campaign_table(ctx: _LemmaContext, n: int, values: tuple[int, ...]) -> EMap
     are checked, with the public constructor's errors, and the rest is
     trusted.
     """
-    size = len(ctx.space)
+    size = _space_size(n)
     if len(values) != size:
         raise DomainError(f"map must be total over {size} partitions")
     for ti in ctx.relevant:  # a plain loop: half the cost of all() over a generator
@@ -545,7 +565,7 @@ def verify_comb(k: int, m: int, N: int, strategy: Strategy) -> WitnessReport:
     ctx = _comb_context(k, m, N)
     n_cands = len(ctx.candidates)
 
-    identity = tuple(range(len(ctx.space)))  # per campaign, not cached: Q(9) has 21147 keys
+    identity = tuple(range(_space_size(k * N)))  # per campaign, not cached: Q(9) has 21147 keys
 
     def assign(combo):
         values = list(identity)
@@ -592,8 +612,8 @@ def verify_comb(k: int, m: int, N: int, strategy: Strategy) -> WitnessReport:
     worst_census = _census(ctx, worst_kills)
     space = ctx.space
     # one entry per distinct key pair, shared by every shape holding it, so
-    # json_text renders it once; a shape's keys ascend and space is strictly
-    # increasing, so its entries ascend as rgs pairs
+    # json_text renders it once; a shape's keys ascend and rank order is lex
+    # order, so its entries ascend as rgs pairs
     entry = lru_cache(maxsize=None)(lambda ti, vi: (space[ti], space[vi]))
     return WitnessReport(
         params={"k": k, "m": m, "N": N},
@@ -709,8 +729,9 @@ def fusion_step(
             raise DomainError(f"f_table is not defined on {A.to_text()}")
         return project_g(C, B, mprime)
 
-    e = EMapTable.from_assignments(
-        mprime, {t: induced(_trusted(t)).rgs for t in partition_space(mprime)}
+    # partition_space lists Q(mprime) in lex order, so each t's key is its position
+    e = EMapTable(
+        mprime, tuple(_lex_index(mprime, induced(_trusted(t)).rgs) for t in partition_space(mprime))
     )
     witness = find_witness(e, m, mprime)
     if witness is None:

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from partlab import cli
 from partlab.cli import main
 from partlab.partitions import enumerate_equipartitions, enumerate_partitions
+from partlab.witness import Adversarial, Sampled, _comb_context, partition_space, verify_comb
 
 
 def run_cli(*argv, capsys=None):
@@ -189,6 +191,22 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and repr(form) in captured.err
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_random_e_map_draws_as_randrange(self, n):
+        size = len(partition_space(n))
+        for seed in (0, 7, 2**40):
+            rng = random.Random(seed)
+            expect = tuple(rng.randrange(size) for _ in range(size))
+            assert cli._build_emap(f"random:{seed}", n).values == expect
+
+    def test_comb_path_never_materialises_the_partition_space(self):
+        partition_space.cache_clear()
+        _comb_context.cache_clear()
+        assert main(["bad-pairs", "--k", "3", "--m", "2", "--N", "3", "--e-map", "random:7"]) == 0
+        verify_comb(3, 2, 2, Sampled(50, seed=7))
+        verify_comb(4, 4, 2, Adversarial(3, seed=7))
+        assert partition_space.cache_info().currsize == 0
 
     @pytest.mark.parametrize(
         "argv",

@@ -19,6 +19,8 @@ from partlab.partitions import (
     meet_refine,
     relabel_canonical,
     rgs_is_valid,
+    _rgs_rank,
+    _rgs_unrank,
 )
 
 
@@ -171,6 +173,13 @@ class TestEnumerationOracles:
             for s in enumerate_partitions(n):
                 for t in coarsenings_of(s):
                     assert relabel_canonical(t.rgs) == t.rgs
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_rank_and_unrank_are_inverse_to_the_lex_order(n):
+    for i, rgs in enumerate(iter_rgs(n)):
+        assert _rgs_rank(rgs) == i
+        assert _rgs_unrank(n, i) == rgs
 
 
 class TestCoarseningOrder:

@@ -234,7 +234,7 @@ Pair = collections.namedtuple("Pair", "a b")
 # tuple objects that the cases below reach from several places, so the
 # writer's identity lookup finds each of them again
 SHARED = (1, (2, "x"))
-HOLDS_PAIR = (Pair(1, (2,)), 3)  # marshal refuses it for the namedtuple inside
+HOLDS_PAIR = (Pair(1, (2,)), 3)  # a shared tuple holding a tuple subclass, which renders as a list
 
 
 def _indented(doc) -> str:

@@ -1,4 +1,5 @@
 import random
+import re
 from functools import lru_cache
 
 import pytest
@@ -42,6 +43,7 @@ from partlab.witness import (
     _fusion_context,
     _greedy_ties,
     _kill_masks,
+    _lex_index,
     _partition_context,
     _sample_values,
     _witness,
@@ -78,6 +80,11 @@ class TestEMapTable:
             e.apply(SetPartition((0, 1)))
         with pytest.raises(DomainError, match=r"\(0, 1, 2, 3, 4\) is not a partition in Q\(4\)"):
             e.apply_rgs((0, 1, 2, 3, 4))
+
+    @pytest.mark.parametrize("rgs", [(0, 0, 1), (0, 2, 1, 0), (1, 0, 0, 0), (0, 1, 0, -1), (0, 1, 2, 3, 4)])
+    def test_lex_index_rejects_a_wrong_length_a_non_rgs_and_an_rgs_outside_the_space(self, rgs):
+        with pytest.raises(DomainError, match=rf"^{re.escape(repr(rgs))} is not a partition in Q\(4\)$"):
+            _lex_index(4, rgs)
 
     def test_value_range_checked(self):
         for values in ((0, 5), (-1, 0), (0, 2)):
@@ -333,15 +340,20 @@ def scan_down_set(n, s):
     return frozenset(t for t in iter_rgs(n) if rgs_leq(t, s))
 
 
+def space_of(ctx):
+    """All of Q(n) for a partition context on n points, in lex order, so indexed by key."""
+    return partition_space(len(ctx.candidates[0]))
+
+
 @lru_cache(maxsize=32)
 def oracle_keys(ctx):
     """Per candidate, the keys of the t below it, from a full rgs_leq scan of Q(n)."""
-    index = {t: i for i, t in enumerate(ctx.space)}
+    index = {t: i for i, t in enumerate(space_of(ctx))}
     return tuple(frozenset(index[t] for t in scan_down_set(len(s), s)) for s in ctx.candidates)
 
 
 def oracle_witness(ctx, values):
-    space = ctx.space
+    space = space_of(ctx)
     for s, coar in zip(ctx.candidates, oracle_keys(ctx)):
         if all(
             rgs_leq(space[values[ti]], space[ti]) or not rgs_leq(space[values[ti]], s)
@@ -352,7 +364,7 @@ def oracle_witness(ctx, values):
 
 
 def oracle_census(ctx, values):
-    space = ctx.space
+    space = space_of(ctx)
     per = {}
     for s, coar in zip(ctx.candidates, oracle_keys(ctx)):
         bad = sum(
@@ -366,7 +378,7 @@ def oracle_census(ctx, values):
 
 
 def oracle_shape(ctx, values):
-    space = ctx.space
+    space = space_of(ctx)
     shape = set()
     for s, coar in zip(ctx.candidates, oracle_keys(ctx)):
         for ti in coar:
@@ -378,7 +390,7 @@ def oracle_shape(ctx, values):
 
 @lru_cache(maxsize=32)
 def oracle_greedy(ctx):
-    space = ctx.space
+    space = space_of(ctx)
     keys = oracle_keys(ctx)
     relevant = sorted(set().union(*keys))
     table = []
@@ -416,7 +428,7 @@ class TestLemmaKernel:
     def test_kernel_agrees_with_nested_loops(self, kmn):
         ctx = context_of(kmn)
         rng = random.Random(sum(kmn))
-        size = len(ctx.space)
+        size = len(space_of(ctx))
         maps = [tuple(rng.randrange(size) for _ in range(size)) for _ in range(40)]
         maps += [adversarial_values(ctx, 3, i) for i in range(20)]  # mostly witness-free
         verdicts, bad_maps = set(), 0
@@ -449,18 +461,22 @@ class TestLemmaKernel:
             assert mask == sum(1 << ci for ci, coar in enumerate(keys) if ti in coar)
 
     # every s up to 7 points; at 8 points every 41st s in lex order and the
-    # last, since all 4140 would ask rgs_leq of 4140**2 pairs
-    @pytest.mark.parametrize("n", range(1, 9))
+    # last, since all 4140 would ask rgs_leq of 4140**2 pairs; at 9 points
+    # every 997th and the last
+    @pytest.mark.parametrize("n", range(1, 10))
     def test_down_set_equals_the_rgs_leq_scan(self, n):
         space = partition_space(n)
-        for s in space if n < 8 else space[::41] + space[-1:]:
-            assert _down_set(n, s) == scan_down_set(n, s)
+        step = {8: 41, 9: 997}.get(n, 1)
+        for s in space[::step] + (space[-1:] if step > 1 else ()):
+            down = _down_set(s)
+            assert frozenset(down.values()) == scan_down_set(n, s)
+            assert all(space[key] == t for key, t in down.items())  # keyed by lex rank
 
     @pytest.mark.parametrize("kmn", KERNEL_CONFIGS + FUSION_CONFIGS)
     def test_down_set_is_the_coarsening_set(self, kmn):
         ctx = context_of(kmn)
         for s in ctx.candidates:
-            down = _down_set(len(s), s)
+            down = _down_set(s).values()
             assert set(down) == {t.rgs for t in coarsenings_of(SetPartition(s))}
             assert len(down) == len(set(down))
 
@@ -468,7 +484,7 @@ class TestLemmaKernel:
 def oracle_sample_values(ctx, seed, sample_index):
     """A sampled map as a fresh random.Random per map and randrange draw it."""
     rng = random.Random((seed << 32) ^ (sample_index * 0x9E3779B9 + 1))
-    size = len(ctx.space)
+    size = len(space_of(ctx))
     values = list(range(size))
     for ti in ctx.relevant:
         values[ti] = rng.randrange(size)
@@ -482,7 +498,7 @@ class TestSampler:
     )
     def test_draws_equal_a_fresh_generator_per_map(self, kmn, size):
         ctx = _comb_context(*kmn)
-        assert len(ctx.space) == size
+        assert len(space_of(ctx)) == size
         identity = tuple(range(size))
         rng = random.Random()  # one generator for every map, as in a campaign
         for seed in (0, 7, 2**40):
@@ -492,13 +508,13 @@ class TestSampler:
 
 def adversarial_values(ctx, seed, map_index):
     """One greedy map, with a generator and identity of its own."""
-    return _adversarial_values(ctx, tuple(range(len(ctx.space))), random.Random(), seed, map_index)
+    return _adversarial_values(ctx, tuple(range(len(space_of(ctx)))), random.Random(), seed, map_index)
 
 
 def oracle_adversarial_values(ctx, seed, map_index):
     """A greedy map as a fresh random.Random per map and rng.choice per tie draw it."""
     rng = random.Random((seed << 32) ^ (map_index * 0x85EBCA6B + 3))
-    values = list(range(len(ctx.space)))
+    values = list(range(len(space_of(ctx))))
     for ti, ties in oracle_greedy(ctx):
         values[ti] = min(ties) if map_index == 0 else rng.choice(ties)
     return tuple(values)
@@ -512,8 +528,8 @@ ONE_VALUE_TIE = ((0, 0, 0, 1), (0, 1, 2, 3))
 class TestAdversary:
     @pytest.mark.parametrize("kmn", KERNEL_CONFIGS + FUSION_CONFIGS + [ONE_VALUE_TIE])
     def test_draws_equal_a_fresh_generator_per_map(self, kmn):
-        ctx = _partition_context(4, kmn) if kmn == ONE_VALUE_TIE else context_of(kmn)
-        identity = tuple(range(len(ctx.space)))
+        ctx = _partition_context(kmn) if kmn == ONE_VALUE_TIE else context_of(kmn)
+        identity = tuple(range(len(space_of(ctx))))
         rng = random.Random()  # one generator for every map, as in a campaign
         for seed in (0, 7, 2**40):
             for i in range(51):
@@ -523,7 +539,7 @@ class TestAdversary:
 
     def test_one_value_tie_comes_before_larger_ties(self):
         # so a one-value tie that skipped its draw would shift every later draw
-        counts = [len(ties) for _, ties in _greedy_ties(_partition_context(4, ONE_VALUE_TIE))]
+        counts = [len(ties) for _, ties in _greedy_ties(_partition_context(ONE_VALUE_TIE))]
         assert counts[0] == 1 and max(counts[1:]) > 1
 
     def test_shapes_are_sorted_rgs_pairs(self):
@@ -596,7 +612,7 @@ class TestWitnessIsValid:
         ctx = _comb_context(k, m, N)
         for s in ctx.candidates[:4]:
             assert witness_is_valid(EMapTable.identity(k * N), SetPartition(s), m)
-            for t in _down_set(k * N, s):
+            for t in _down_set(s).values():
                 if t == s:
                     continue
                 # e(t) = s coarsens s but not t: (s, t) is a bad pair
@@ -615,7 +631,10 @@ class TestWitnessIsValid:
         def forbidden(*args, **kwargs):
             raise AssertionError("re-validation used the search's enumeration")
 
-        for name in ("coarsenings_of", "_comb_context", "_fusion_context", "_lemma_context", "iter_equipartition_rgs"):
+        for name in (
+            "_coarsening_rgs", "_comb_context", "_fusion_context", "_lemma_context", "iter_equipartition_rgs",
+            "partition_space", "iter_rgs",
+        ):
             monkeypatch.setattr(witness_module, name, forbidden)
         _down_set.cache_clear()
         s = SetPartition((0, 1, 2, 0, 1, 2))
