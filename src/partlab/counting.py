@@ -8,12 +8,11 @@ diagnostic of comb_ratio_bound, which is explicitly approximate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .errors import DomainError
-from .partitions import SetPartition, is_coarsening
+from .partitions import SetPartition, _value_class, is_coarsening
 
 __all__ = [
     "CoarseningProfile",
@@ -26,7 +25,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@_value_class()
 class CoarseningProfile:
     """Shape data of a coarse partition t inside the equipartition space.
 
@@ -36,13 +35,12 @@ class CoarseningProfile:
     an unsplit block has the single entry (k_i, m_i).
     """
 
-    blocks: tuple[tuple[int, int], ...]
-    splits: tuple[tuple[tuple[int, int], ...], ...]
+    __slots__ = ("blocks", "splits")
 
-    def __post_init__(self):
-        if len(self.blocks) != len(self.splits) or not self.blocks:
+    def __init__(self, blocks: tuple[tuple[int, int], ...], splits: tuple[tuple[tuple[int, int], ...], ...]):
+        if len(blocks) != len(splits) or not blocks:
             raise DomainError("profile needs one split list per block")
-        for (ki, mi), sub in zip(self.blocks, self.splits):
+        for (ki, mi), sub in zip(blocks, splits):
             if ki <= 0 or not 0 <= mi <= ki:
                 raise DomainError(f"bad block data (k_i={ki}, m_i={mi})")
             if not sub:
@@ -52,6 +50,16 @@ class CoarseningProfile:
             for kij, mij in sub:
                 if kij <= 0 or not 0 <= mij <= kij:
                     raise DomainError(f"bad sub-block data (k_ij={kij}, m_ij={mij})")
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "splits", splits)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.blocks, self.splits) == (other.blocks, other.splits)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.blocks, self.splits))
 
     @property
     def u(self) -> int:

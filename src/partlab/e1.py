@@ -14,11 +14,10 @@ InsufficientTruncationError when the window cannot decide a membership.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, count, islice
 
 from .errors import DomainError, InsufficientTruncationError
-from .partitions import relabel_canonical
+from .partitions import _value_class, relabel_canonical
 from .prefixes import PartitionPrefix, mu_sequence
 
 __all__ = [
@@ -34,22 +33,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@_value_class()
 class BinaryGrid:
     """An R x C matrix of bits, rows indexed from 0."""
 
-    bits: tuple[tuple[int, ...], ...]
+    __slots__ = ("bits",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "bits", tuple(tuple(row) for row in self.bits))
-        if not self.bits or not self.bits[0]:
+    def __init__(self, bits: tuple[tuple[int, ...], ...]):
+        bits = tuple(tuple(row) for row in bits)
+        if not bits or not bits[0]:
             raise DomainError("grid dimensions must be positive")
-        width = len(self.bits[0])
-        for row in self.bits:
+        width = len(bits[0])
+        for row in bits:
             if len(row) != width:
                 raise DomainError("ragged grid")
             if any(b not in (0, 1) for b in row):
                 raise DomainError("grid entries must be 0 or 1")
+        object.__setattr__(self, "bits", bits)
 
     @property
     def R(self) -> int:
@@ -103,7 +103,7 @@ class BinaryGrid:
         return cls(tuple(rows))
 
 
-@dataclass(frozen=True)
+@_value_class()
 class AllocationScheme:
     """Assignment of the integers below a horizon to one spine and many lanes.
 
@@ -112,14 +112,13 @@ class AllocationScheme:
     spine value) and lanes[k] lists lane k in increasing order.
     """
 
-    L: int
-    owner: tuple[int, ...]
-    spine: tuple[int, ...]
-    lanes: tuple[tuple[int, ...], ...]
+    __slots__ = ("L", "owner", "spine", "lanes")
 
-    def __post_init__(self):
-        if self.L < 1 or len(self.owner) != self.L:
+    def __init__(self, L: int, owner: tuple[int, ...], spine: tuple[int, ...], lanes: tuple[tuple[int, ...], ...]):
+        if L < 1 or len(owner) != L:
             raise DomainError("scheme must cover a positive horizon")
+        for name, value in zip(self.__slots__, (L, owner, spine, lanes)):
+            object.__setattr__(self, name, value)
 
 
 def round_robin_alloc(L: int) -> AllocationScheme:

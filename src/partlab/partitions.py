@@ -16,8 +16,8 @@ lazy generators in lexicographic rgs order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 from typing import Iterator
 
 from .errors import DomainError
@@ -82,7 +82,44 @@ def rgs_meet(t1: tuple[int, ...], t2: tuple[int, ...]) -> tuple[int, ...]:
     return relabel_canonical(zip(t1, t2))
 
 
-@dataclass(frozen=True)
+def _refuse(self, name, *value):
+    raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+def _value_class(*fields: str, frozen: bool = True, compare: bool = True):
+    """What dataclass(frozen=frozen, eq=compare) gave a class, for a class with __slots__.
+
+    repr shows `fields` (default: the slots).  eq compares their tuple within one class and
+    hash is its hash, unless the class writes both, straight-line, as the hot ones do.  A
+    frozen instance refuses assignment and pickles through the constructor, which takes `fields`.
+    """
+
+    def apply(cls):
+        names = fields or cls.__slots__
+        get = attrgetter(*names)
+        key = get if len(names) > 1 else lambda self: (get(self),)
+
+        def __repr__(self):
+            return f"{self.__class__.__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in names)})"
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return key(self) == key(other)
+            return NotImplemented
+
+        cls.__repr__ = __repr__
+        if compare and "__eq__" not in vars(cls):
+            cls.__eq__ = __eq__
+            cls.__hash__ = (lambda self: hash(key(self))) if frozen else None
+        if frozen:
+            cls.__setattr__ = cls.__delattr__ = _refuse
+            cls.__reduce__ = lambda self: (cls, key(self))
+        return cls
+
+    return apply
+
+
+@_value_class()
 class SetPartition:
     """A partition of {0,...,n-1} in canonical rgs form.
 
@@ -90,12 +127,21 @@ class SetPartition:
     0-th approximation of every prefix.
     """
 
-    rgs: tuple[int, ...]
+    __slots__ = ("rgs",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "rgs", tuple(self.rgs))
-        if not rgs_is_valid(self.rgs):
-            raise DomainError(f"not a restricted growth string: {self.rgs!r}")
+    def __init__(self, rgs: tuple[int, ...]):
+        rgs = tuple(rgs)
+        if not rgs_is_valid(rgs):
+            raise DomainError(f"not a restricted growth string: {rgs!r}")
+        object.__setattr__(self, "rgs", rgs)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.rgs == other.rgs
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.rgs,))
 
     @property
     def n(self) -> int:

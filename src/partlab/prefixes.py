@@ -11,10 +11,8 @@ InsufficientTruncationError rather than guessing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DomainError, InsufficientTruncationError, NotACutError
-from .partitions import SetPartition, relabel_canonical, rgs_is_valid, rgs_leq
+from .partitions import SetPartition, _value_class, relabel_canonical, rgs_is_valid, rgs_leq
 
 __all__ = [
     "PartitionPrefix",
@@ -29,18 +27,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@_value_class()
 class PartitionPrefix:
     """Length-L window onto an infinite partition with open-ended blocks."""
 
-    rgs: tuple[int, ...]
+    __slots__ = ("rgs",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "rgs", tuple(self.rgs))
-        if not self.rgs:
+    def __init__(self, rgs: tuple[int, ...]):
+        rgs = tuple(rgs)
+        if not rgs:
             raise DomainError("a prefix must have positive length")
-        if not rgs_is_valid(self.rgs):
-            raise DomainError(f"not a restricted growth string: {self.rgs!r}")
+        if not rgs_is_valid(rgs):
+            raise DomainError(f"not a restricted growth string: {rgs!r}")
+        object.__setattr__(self, "rgs", rgs)
+
+    __eq__, __hash__ = SetPartition.__eq__, SetPartition.__hash__  # over rgs, between instances of one class
 
     @property
     def L(self) -> int:

@@ -10,15 +10,12 @@ writes every JSON document the CLI emits.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Any, Optional
 
-from .partitions import SetPartition
+from .partitions import SetPartition, _value_class
 
 __all__ = ["WitnessReport", "json_text"]
 
@@ -110,7 +107,7 @@ def json_text(doc: Any) -> str:
     return "".join(out)
 
 
-@dataclass
+@_value_class(frozen=False)
 class WitnessReport:
     """Outcome of a lemma-verification run.
 
@@ -119,16 +116,23 @@ class WitnessReport:
     and `details` carries the aggregate data.
     """
 
-    params: dict[str, Any]
-    strategy: str
-    seed: Optional[int]
-    witness: Optional[SetPartition]
-    bad_pair_count: int
-    candidate_count: int
-    census: dict[str, int] = field(default_factory=dict)
-    ratio: Optional[Fraction] = None
-    elapsed_ms: float = 0.0
-    details: dict[str, Any] = field(default_factory=dict)
+    __slots__ = ("params", "strategy", "seed", "witness", "bad_pair_count", "candidate_count",
+                 "census", "ratio", "elapsed_ms", "details")
+
+    def __init__(self, params: dict[str, Any], strategy: str, seed: Optional[int],
+                 witness: Optional[SetPartition], bad_pair_count: int, candidate_count: int,
+                 census: Optional[dict[str, int]] = None, ratio: Optional[Fraction] = None,
+                 elapsed_ms: float = 0.0, details: Optional[dict[str, Any]] = None):
+        self.params = params
+        self.strategy = strategy
+        self.seed = seed
+        self.witness = witness
+        self.bad_pair_count = bad_pair_count
+        self.candidate_count = candidate_count
+        self.census = {} if census is None else census
+        self.ratio = ratio
+        self.elapsed_ms = elapsed_ms
+        self.details = {} if details is None else details
 
     def to_json_dict(self) -> dict[str, Any]:
         return {
@@ -174,6 +178,9 @@ class WitnessReport:
     )
 
     def to_csv(self) -> str:
+        import csv
+        import io
+
         d = self.to_json_dict()
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=("params",) + self.CSV_FIELDS)

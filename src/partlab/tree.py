@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from typing import Iterator, Mapping, Optional
 
 from .errors import BudgetError, DomainError
+from .partitions import _value_class
 from .reports import WitnessReport
 from .witness import Strategy, _kill_masks, _lemma_context, _witness, map_stream
 
@@ -41,25 +41,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@_value_class("blocks", "N")
 class BlockPartitionKN:
     """Partition of a finite ground set into k blocks of >= N points each."""
 
-    blocks: tuple[frozenset, ...]
-    N: int
-    ground: frozenset = field(init=False, repr=False, compare=False)  # union of the blocks
+    __slots__ = ("blocks", "N", "ground")  # ground, the union of the blocks, is neither compared nor shown
 
-    def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(frozenset(b) for b in self.blocks))
-        if self.N < 1 or not self.blocks:
+    def __init__(self, blocks: tuple[frozenset, ...], N: int):
+        blocks = tuple(frozenset(b) for b in blocks)
+        if N < 1 or not blocks:
             raise DomainError("need N >= 1 and at least one block")
         seen: set = set()
-        for blk in self.blocks:
-            if len(blk) < self.N:
-                raise DomainError(f"block of size {len(blk)} is below the floor {self.N}")
+        for blk in blocks:
+            if len(blk) < N:
+                raise DomainError(f"block of size {len(blk)} is below the floor {N}")
             if blk & seen:
                 raise DomainError("blocks must be disjoint")
             seen |= blk
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "N", N)
         object.__setattr__(self, "ground", frozenset(seen))
 
     @property

@@ -36,7 +36,6 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -50,6 +49,7 @@ from .partitions import (
     _rgs_rank,
     _rgs_unrank,
     _trusted,
+    _value_class,
     count_partitions,
     iter_equipartition_rgs,
     iter_rgs,
@@ -110,19 +110,28 @@ def _lex_index(n: int, rgs: tuple[int, ...]) -> int:
     return _rgs_rank(rgs)
 
 
-@dataclass(frozen=True)
+@_value_class()
 class EMapTable:
     """Total map from Q(n) to Q(n), stored as value indices over lex order."""
 
-    n: int
-    values: tuple[int, ...]
+    __slots__ = ("n", "values")
 
-    def __post_init__(self):
-        size = _space_size(self.n)
-        if len(self.values) != size:
+    def __init__(self, n: int, values: tuple[int, ...]):
+        size = _space_size(n)
+        if len(values) != size:
             raise DomainError(f"map must be total over {size} partitions")
-        if min(self.values) < 0 or max(self.values) >= size:
+        if min(values) < 0 or max(values) >= size:
             raise DomainError("value index out of range")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "values", values)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n, self.values) == (other.n, other.values)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.n, self.values))
 
     def apply_rgs(self, rgs: tuple[int, ...]) -> tuple[int, ...]:
         return _rgs_unrank(self.n, self.values[_lex_index(self.n, rgs)])
@@ -158,32 +167,32 @@ class EMapTable:
 # -- strategies ---------------------------------------------------------------
 
 
-def _non_negative(strategy, *names: str) -> None:
-    for name in names:
-        value = getattr(strategy, name)
+def _init_non_negative(strategy, **fields: int) -> None:
+    """Set the strategy's fields, after checking that each named one is >= 0."""
+    for name, value in fields.items():
         if value < 0:
             raise DomainError(f"{type(strategy).__name__} {name} must be >= 0, got {value}")
+        object.__setattr__(strategy, name, value)
 
 
-@dataclass(frozen=True)
+@_value_class()
 class Exhaustive:
-    cap: int = 1_000_000
+    __slots__ = ("cap",)
 
-    def __post_init__(self):
-        _non_negative(self, "cap")
+    def __init__(self, cap: int = 1_000_000):
+        _init_non_negative(self, cap=cap)
 
     def label(self) -> str:
         return "exhaustive"
 
 
-@dataclass(frozen=True)
+@_value_class()
 class Sampled:
-    count: int
-    seed: int = 0
-    start: int = 0  # first sample index, so campaigns can be split into chunks
+    __slots__ = ("count", "seed", "start")  # start: the first sample index, so campaigns can be chunked
 
-    def __post_init__(self):
-        _non_negative(self, "count", "start")
+    def __init__(self, count: int, seed: int = 0, start: int = 0):
+        _init_non_negative(self, count=count, start=start)
+        object.__setattr__(self, "seed", seed)
 
     def label(self) -> str:
         if self.start:
@@ -191,13 +200,13 @@ class Sampled:
         return f"sampled({self.count}, seed={self.seed})"
 
 
-@dataclass(frozen=True)
+@_value_class()
 class Adversarial:
-    budget: int
-    seed: int = 0
+    __slots__ = ("budget", "seed")
 
-    def __post_init__(self):
-        _non_negative(self, "budget")
+    def __init__(self, budget: int, seed: int = 0):
+        _init_non_negative(self, budget=budget)
+        object.__setattr__(self, "seed", seed)
 
     def label(self) -> str:
         return f"adversarial({self.budget}, seed={self.seed})"
@@ -235,13 +244,18 @@ def map_stream(
 # -- shared lemma context -----------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)  # hashed by identity, so _greedy_ties can cache per context
+@_value_class(compare=False)
 class _LemmaContext:
-    space: Union[Mapping, range]  # key -> its element: the relevant keys' rgs, or a range of point masks
-    candidates: tuple
-    relevant: tuple[int, ...]  # keys of the t below at least one candidate
-    below: dict[int, int]  # per relevant v: bitmask of the candidates s with v <= s
-    leq: Callable  # the order on keys: rgs_leq of their partitions, or inclusion of point masks
+    # hashed by identity, so _greedy_ties can cache per context
+    # space: key -> its element: the relevant keys' rgs, or a range of point masks
+    # relevant: keys of the t below at least one candidate
+    # below: per relevant v: bitmask of the candidates s with v <= s
+    # leq: the order on keys: rgs_leq of their partitions, or inclusion of point masks
+    __slots__ = ("space", "candidates", "relevant", "below", "leq")
+
+    def __init__(self, space: Union[Mapping, range], candidates: tuple, relevant: tuple, below: dict, leq):
+        for name, value in zip(self.__slots__, (space, candidates, relevant, below, leq)):
+            object.__setattr__(self, name, value)
 
 
 def _lemma_context(space, candidates: tuple, down: Callable, leq: Callable) -> _LemmaContext:
@@ -659,13 +673,8 @@ def merge_campaign(parts: list[WitnessReport], strategy: Sampled, elapsed_ms: fl
         pigeonhole_ok=all(r.details["pigeonhole_ok"] for r in parts),
         counterexample_shapes=shapes,
     )
-    return replace(
-        worst,
-        strategy=strategy.label(),
-        seed=strategy.seed,
-        elapsed_ms=elapsed_ms,
-        details=details,
-    )
+    return WitnessReport(worst.params, strategy.label(), strategy.seed, worst.witness, worst.bad_pair_count,
+                         worst.candidate_count, worst.census, worst.ratio, elapsed_ms, details)
 
 
 def min_threshold_comb(

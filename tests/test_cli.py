@@ -488,14 +488,15 @@ class TestCampaignRoundTrip:
         assert merged.details["pigeonhole_ok"] is False
 
     def test_merged_report_has_the_invocation_wall_time(self, monkeypatch, capsys):
-        import dataclasses
-
         from partlab import cli
+        from partlab.reports import WitnessReport
 
         real = cli.verify_comb
 
         def slow_on_paper(k, m, N, strategy):
-            return dataclasses.replace(real(k, m, N, strategy), elapsed_ms=10_000.0)
+            r = real(k, m, N, strategy)
+            return WitnessReport(r.params, r.strategy, r.seed, r.witness, r.bad_pair_count,
+                                 r.candidate_count, r.census, r.ratio, 10_000.0, r.details)
 
         monkeypatch.setattr(cli, "CHECKPOINT_EVERY", 5)
         monkeypatch.setattr(cli, "verify_comb", slow_on_paper)
@@ -577,3 +578,42 @@ class TestConsoleScript:
             os.close(write_end)
         assert proc.returncode == verdict
         assert proc.stderr == b""
+
+    def test_import_leaves_out_dataclasses_inspect_and_csv(self):
+        # dataclasses pulls in inspect, ast, dis and tokenize: about 20 ms of every command
+        code = (
+            "import sys; before = set(sys.modules); import partlab.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'csv'} & (set(sys.modules) - before)))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_main_leaves_the_collector_alone(self, capsys):
+        import gc
+
+        frozen = gc.get_freeze_count()
+        assert main(["count", "--n", "5"]) == 0
+        assert main(["verify-comb", "--k", "2", "--m", "2", "--N", "2", "--strategy", "sampled:20:1"]) == 0
+        assert gc.get_freeze_count() == frozen
+
+    def test_frozen_exit_leaves_reports_and_state_complete(self, tmp_path, monkeypatch):
+        """The script's exit-time freeze writes nothing late: the same files as main in process."""
+        monkeypatch.chdir(tmp_path)
+
+        def strip(doc):
+            if isinstance(doc, dict):
+                return {k: strip(v) for k, v in doc.items() if k not in ("elapsed_ms", "out")}
+            return [strip(v) for v in doc] if isinstance(doc, list) else doc
+
+        def files(name):
+            return [strip(json.loads((tmp_path / f).read_text())) for f in (name, name + ".state")]
+
+        argv = ["verify-comb", "--k", "2", "--m", "2", "--N", "2", "--strategy", "sampled:25000:5", "--jobs", "2"]
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))  # the working directory moved
+        proc = subprocess.run(
+            [sys.executable, "-m", "partlab.cli", *argv, "--out", "script.json"], capture_output=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert main(argv + ["--out", "inproc.json"]) == 0
+        assert files("script.json") == files("inproc.json")
