@@ -10,7 +10,6 @@ identical reports up to the elapsed-time field.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import gc
 import itertools
@@ -165,6 +164,8 @@ def cmd_verify_comb(args) -> int:
     start = time.perf_counter()
     if args.jobs < 1:
         raise DomainError(f"--jobs must be >= 1, got {args.jobs}")
+    if args.jobs > 1 and not hasattr(os, "fork"):
+        raise DomainError(f"--jobs {args.jobs} needs os.fork, which this platform lacks; use --jobs 1")
     strategy = _parse_strategy(args.strategy, args.samples, args.seed)
     if args.jobs > 1 and not isinstance(strategy, Sampled):
         raise DomainError(f"--jobs applies only to sampled strategies, got {args.strategy!r}")
@@ -192,12 +193,12 @@ def _restore_or_run(args, tasks: dict, run, jobs: int = 1) -> list[WitnessReport
     """run(task) for each task, in order, checkpointed to the --out state file.
 
     tasks maps each state key to its task.  A task whose key the state file
-    records is restored, not run; the others run, on a pool of
-    min(jobs, pending) processes when more than one is pending, and each
-    report is recorded as it arrives, so an interrupted run resumes where
-    it stopped.  The state file is bound to the run's configuration: one
-    recorded for another configuration is a usage error, so a report is
-    never assembled from another run's results.
+    records is restored, not run; the others run, on min(jobs, pending)
+    forked workers when more than one is pending, and each report is
+    recorded as it arrives, so an interrupted run resumes where it stopped.
+    The state file is bound to the run's configuration: one recorded for
+    another configuration is a usage error, so a report is never assembled
+    from another run's results.
     """
     config = {k: v for k, v in _config_dict(args).items() if k not in ("out", "format", "jobs")}
     config["checkpoint_every"] = CHECKPOINT_EVERY
@@ -214,20 +215,82 @@ def _restore_or_run(args, tasks: dict, run, jobs: int = 1) -> list[WitnessReport
         state = saved
     done = state["done"]
     pending = {key: task for key, task in tasks.items() if key not in done}
-    with contextlib.ExitStack() as stack:
-        run_all = map
-        if jobs > 1 and len(pending) > 1:
-            import concurrent.futures
 
-            pool = concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(pending)))
-            run_all = stack.enter_context(pool).map
-        for key, rep in zip(pending, run_all(run, pending.values())):
-            done[key] = rep.to_json_dict()
-            if state_path:
-                with open(state_path + ".tmp", "w") as fh:
-                    json.dump(state, fh)
-                os.replace(state_path + ".tmp", state_path)
+    def record(key, doc):
+        done[key] = doc
+        if state_path:
+            with open(state_path + ".tmp", "w") as fh:
+                json.dump(state, fh)
+            os.replace(state_path + ".tmp", state_path)
+
+    if jobs > 1 and len(pending) > 1:
+        _run_forked(run, pending, min(jobs, len(pending)), record)
+    else:
+        for key, task in pending.items():
+            record(key, run(task).to_json_dict())
     return [WitnessReport.from_json_dict(done[key]) for key in tasks]
+
+
+def _run_forked(run, tasks: dict, workers: int, record) -> None:
+    """record(key, run(task).to_json_dict()) for each task, in order, on forked workers.
+
+    Worker w runs tasks w, w + workers, ... and writes each report's JSON dict
+    to its own pipe as one line.  The parent reads the lines in task order.  A
+    worker that raises writes its exception, pickled, as a hex line instead and
+    stops; the parent raises it as its own, so exit codes and error lines are
+    an in-process run's.  However this returns, no worker is left running or
+    unreaped.
+    """
+    keys, values = list(tasks), list(tasks.values())
+    pids, pipes = [], []
+    try:
+        for w in range(workers):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                # the parent's read ends stay open only there, so a dead parent breaks every pipe
+                os.close(read_fd)
+                for pipe in pipes:
+                    pipe.close()
+                _work(run, values[w::workers], write_fd)
+            pids.append(pid)
+            os.close(write_fd)
+            pipes.append(open(read_fd))
+        for i, key in enumerate(keys):
+            line = pipes[i % workers].readline()
+            if not line:
+                raise RuntimeError(f"worker {pids[i % workers]} ended before reporting chunk {key}")
+            if not line.startswith("{"):  # not a report: the worker's exception
+                import pickle
+
+                raise pickle.loads(bytes.fromhex(line))
+            record(key, json.loads(line))
+    except BaseException:
+        import signal
+
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
+
+
+def _work(run, tasks: list, fd: int) -> None:
+    """A forked worker's life: a line to fd per task until one raises; it leaves by os._exit."""
+    try:
+        with open(fd, "w") as pipe:
+            try:
+                for task in tasks:
+                    print(json.dumps(run(task).to_json_dict()), file=pipe, flush=True)
+            except BaseException as exc:
+                import pickle
+
+                print(pickle.dumps(exc).hex(), file=pipe)
+    finally:
+        os._exit(0)
 
 
 def cmd_verify_tree(args) -> int:

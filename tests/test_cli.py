@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from partlab import cli
 from partlab.cli import main
+from partlab.errors import BudgetError, DomainError
 from partlab.partitions import enumerate_equipartitions, enumerate_partitions
 from partlab.witness import Adversarial, Sampled, _comb_context, partition_space, verify_comb
 
@@ -409,38 +410,71 @@ class TestCampaignRoundTrip:
         assert report["details"]["tested"] == 0
 
     def test_pool_is_sized_to_the_pending_chunks(self, tmp_path, monkeypatch):
-        import concurrent.futures
+        forks = []
+        real_fork = os.fork
 
-        sizes = []
+        def counting_fork():
+            forks.append(None)  # before the fork, so only the parent's list counts the workers
+            return real_fork()
 
-        class RecordingPool:  # runs in process, so no worker is ever started
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "fork", counting_fork)
         single = _campaign_report(tmp_path, "single.json", (2, 2, 2), "sampled:20:1")
         monkeypatch.setattr("partlab.cli.CHECKPOINT_EVERY", 7)
         for jobs, expected in (("64", 3), ("2", 2)):
             chunked = _campaign_report(tmp_path, f"jobs{jobs}.json", (2, 2, 2), "sampled:20:1", "--jobs", jobs)
             assert chunked == single
-            assert sizes.pop() == expected
-        # one pending chunk runs in process, without a pool
+            assert len(forks) == expected
+            forks.clear()
+        # one pending chunk runs in process, without a fork
         state_path = tmp_path / "jobs64.json.state"
         state = json.loads(state_path.read_text())
         del state["done"]["7"]
         state_path.write_text(json.dumps(state))
         resumed = _campaign_report(tmp_path, "jobs64.json", (2, 2, 2), "sampled:20:1", "--jobs", "64")
         assert resumed == single
-        assert sizes == []
+        assert forks == []
+
+    @pytest.mark.parametrize(
+        "error,code",
+        [(DomainError("chunk refused"), 2), (BudgetError("chunk too dear"), 3), (RuntimeError("chunk broke"), None)],
+        ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v),
+    )
+    def test_a_worker_error_is_reported_as_in_process(self, error, code, tmp_path, monkeypatch, capsys):
+        def second_chunk_fails(k, m, N, strategy):
+            if strategy.start == 7:
+                raise error
+            return verify_comb(k, m, N, strategy)
+
+        monkeypatch.setattr("partlab.cli.verify_comb", second_chunk_fails)  # forked workers inherit it
+        monkeypatch.setattr("partlab.cli.CHECKPOINT_EVERY", 7)
+        outcomes = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}.json"
+            argv = ["verify-comb", "--k", "2", "--m", "2", "--N", "2", "--strategy", "sampled:20:1"]
+            if code is None:
+                with pytest.raises(type(error), match=str(error)):
+                    main(argv + ["--jobs", jobs, "--out", str(out)])
+            else:
+                assert main(argv + ["--jobs", jobs, "--out", str(out)]) == code
+            state = json.loads(Path(f"{out}.state").read_text())
+            assert list(state["done"]) == ["0"]  # the first chunk, and nothing after the failing one
+            state["done"]["0"].pop("elapsed_ms")
+            assert not out.exists()
+            outcomes.append((capsys.readouterr(), state))
+        assert outcomes[0] == outcomes[1]
+        if code is not None:
+            assert outcomes[0][0].err == f"error: {error}\n"
+        with pytest.raises(ChildProcessError):  # every worker was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_jobs_above_one_without_fork_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delattr(os, "fork")
+        monkeypatch.setattr("partlab.cli.CHECKPOINT_EVERY", 7)  # three chunks, which --jobs 2 would fork for
+        argv = ["verify-comb", "--k", "2", "--m", "2", "--N", "2", "--strategy", "sampled:20:1"]
+        assert main(argv + ["--jobs", "2", "--out", str(tmp_path / "out.json")]) == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []  # nothing ran, so nothing was written
+        assert main(argv + ["--jobs", "1"]) == 0
 
     @pytest.mark.parametrize(
         "argv",
@@ -617,3 +651,15 @@ class TestConsoleScript:
         assert proc.returncode == 0, proc.stderr
         assert main(argv + ["--out", "inproc.json"]) == 0
         assert files("script.json") == files("inproc.json")
+
+    def test_workers_fork_from_a_single_threaded_process(self):
+        """Python 3.12+ warns when a process with threads forks; an import that starts one fails here."""
+        argv = ["verify-comb", "--k", "2", "--m", "2", "--N", "2", "--strategy", "sampled:25000:5", "--jobs", "2"]
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::DeprecationWarning", "-m", "partlab.cli", *argv],
+            capture_output=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == b""

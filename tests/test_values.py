@@ -124,7 +124,7 @@ def test_value_class_contract(cls):
             setattr(b, name, getattr(other, name))
     if not frozen:
         assert b == other
-    # pickling, as the --jobs pool sends strategies and tables out and reports back
+    # pickling through the constructor, as the frozen dataclasses these replace pickled
     back = pickle.loads(pickle.dumps(a))
     assert type(back) is cls and repr(back) == text
     if hashing != "identity":
