@@ -53,14 +53,6 @@ class CoarseningProfile:
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "splits", splits)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.blocks, self.splits) == (other.blocks, other.splits)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.blocks, self.splits))
-
     @property
     def u(self) -> int:
         return len(self.blocks)

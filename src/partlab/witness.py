@@ -24,11 +24,11 @@ shares no enumeration path with the search: the down-set of the witness
 is enumerated point by point, once per witness (see _down_set), and each
 member, keyed by its rank, is checked against the lemma condition.  A
 comb campaign runs this check for every witnessed map, on tables and
-partitions it built without the public constructors' full checks: every
-map it generates starts from the identity table and changes only relevant
-keys, so only the table's length and the values at those keys are
-checked.  Tables and partitions from outside a campaign keep the full
-checks.
+partitions it built without the public constructors' full checks: a map
+a campaign generates is a dict from each relevant key to its value's key,
+the only keys the kernel and the check read, so only those values are
+range-checked.  Tables and partitions from outside a campaign are total
+and keep the full checks.
 """
 
 from __future__ import annotations
@@ -124,14 +124,6 @@ class EMapTable:
             raise DomainError("value index out of range")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "values", values)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.n, self.values) == (other.n, other.values)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.n, self.values))
 
     def apply_rgs(self, rgs: tuple[int, ...]) -> tuple[int, ...]:
         return _rgs_unrank(self.n, self.values[_lex_index(self.n, rgs)])
@@ -310,7 +302,7 @@ def _partition_context(candidates: tuple[tuple[int, ...], ...]) -> _LemmaContext
 def _comb_context(k: int, m: int, N: int) -> _LemmaContext:
     """The comb campaigns' candidates: equipartitions of kN points separating the first m."""
     candidates = tuple(iter_equipartition_rgs(k, N, m))
-    _space_size(k * N)  # a comb campaign's maps are tables over all of Q(kN)
+    _space_size(k * N)  # bounds the context; no table over Q(kN) is built
     return _partition_context(candidates)
 
 
@@ -365,9 +357,7 @@ def _census(ctx: _LemmaContext, kills: dict[int, int]) -> dict[tuple[int, ...], 
     return per
 
 
-def _blocking_shape(
-    values: tuple[int, ...], kills: dict[int, int]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _blocking_shape(values, kills: dict[int, int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The entries of e that invalidate candidates, the failing map's shape.
 
     The keys t and their values e(t), as two tuples in ascending key order:
@@ -464,28 +454,26 @@ def bad_pairs(e: EMapTable, k: int, m: int, N: int) -> WitnessReport:
 
 
 def _sample_values(
-    ctx: _LemmaContext, identity: tuple[int, ...], rng: random.Random, seed: int, sample_index: int
-) -> tuple[int, ...]:
-    """Uniform independent values on coarsening-relevant arguments.
+    ctx: _LemmaContext, size: int, rng: random.Random, seed: int, sample_index: int
+) -> dict[int, int]:
+    """Uniform independent values on coarsening-relevant arguments, keyed by argument.
 
-    Irrelevant arguments keep their value in identity, the campaign's
-    tuple(range(size)); they cannot occur in the lemma condition for any
-    candidate.  Each sample reseeds rng from (seed, index), so its state
-    is that of a fresh random.Random of that seed, and draws each value
-    as randrange(size) does: getrandbits of size's bit length until the
-    draw is below size.
+    Only the relevant keys are drawn; no other argument occurs in the lemma
+    condition for any candidate.  Each sample reseeds rng from (seed,
+    index), so its state is that of a fresh random.Random of that seed,
+    and draws each value as randrange(size) does: getrandbits of size's
+    bit length until the draw is below size.
     """
     rng.seed((seed << 32) ^ (sample_index * 0x9E3779B9 + 1))
     getrandbits = rng.getrandbits
-    size = len(identity)
     bits = size.bit_length()
-    values = list(identity)
+    values = {}
     for ti in ctx.relevant:
         vi = getrandbits(bits)
         while vi >= size:
             vi = getrandbits(bits)
         values[ti] = vi
-    return tuple(values)
+    return values
 
 
 @lru_cache(maxsize=16)
@@ -512,24 +500,25 @@ def _greedy_ties(ctx: _LemmaContext) -> tuple[tuple[int, tuple[int, ...]], ...]:
 
 
 def _adversarial_values(
-    ctx: _LemmaContext, identity: tuple[int, ...], rng: random.Random, seed: int, map_index: int
-) -> tuple[int, ...]:
-    """Greedy adversary: per argument, a maximally invalidating value.
+    ctx: _LemmaContext, rng: random.Random, seed: int, map_index: int
+) -> dict[int, int]:
+    """Greedy adversary: per relevant argument, a maximally invalidating value.
 
     Map 0 is the pure greedy with lexicographic-least tie-break; later
     maps break argmax ties with a seeded PRNG so the budget probes
     different corners of the tie set.  Each map reseeds rng from (seed,
     index) and draws each tie as Random.choice does, getrandbits of the
     tie count's bit length until the draw is below the count, so a tie
-    of one value still consumes its draw.  Arguments without a tie keep
-    their value in identity.  Results are a lower bound on adversarial
+    of one value still consumes its draw.  A relevant argument without a
+    tie keeps e(t) = t; in a comb context every candidate is one, since no
+    value invalidates it.  Results are a lower bound on adversarial
     difficulty.
     """
-    values = list(identity)
+    values = dict(zip(ctx.relevant, ctx.relevant))
     if map_index == 0:
         for ti, ties in _greedy_ties(ctx):
             values[ti] = min(ties)
-        return tuple(values)
+        return values
     rng.seed((seed << 32) ^ (map_index * 0x85EBCA6B + 3))
     getrandbits = rng.getrandbits
     for ti, ties in _greedy_ties(ctx):
@@ -539,22 +528,19 @@ def _adversarial_values(
         while r >= count:
             r = getrandbits(bits)
         values[ti] = ties[r]
-    return tuple(values)
+    return values
 
 
-def _campaign_table(ctx: _LemmaContext, n: int, values: tuple[int, ...]) -> EMapTable:
+def _campaign_table(n: int, size: int, values: dict[int, int]) -> EMapTable:
     """The table of a map a campaign generated, checked only where it can be wrong.
 
-    Every generator copies the campaign's identity tuple and writes only
-    the keys in ctx.relevant, so the length and the values at those keys
-    are checked, with the public constructor's errors, and the rest is
-    trusted.
+    A campaign table holds only the relevant keys, the ones its generator
+    wrote and the only ones the re-validation reads, so its values are
+    range-checked against size = |Q(n)|, with the public constructor's
+    error, and its keys are trusted.
     """
-    size = _space_size(n)
-    if len(values) != size:
-        raise DomainError(f"map must be total over {size} partitions")
-    for ti in ctx.relevant:  # a plain loop: half the cost of all() over a generator
-        if not 0 <= values[ti] < size:
+    for vi in values.values():  # a plain loop: half the cost of all() over a generator
+        if not 0 <= vi < size:
             raise DomainError("value index out of range")
     e = object.__new__(EMapTable)
     object.__setattr__(e, "n", n)
@@ -570,31 +556,24 @@ def verify_comb(k: int, m: int, N: int, strategy: Strategy) -> WitnessReport:
     are collected otherwise.  Every witness is re-validated by the
     independent scan, once per witnessed map, and the pigeonhole
     certificate (bad pairs below candidate count implies a witness) is
-    checked for every map.  The scan gets the map's table from
-    _campaign_table, which checks its length and its values at the
-    relevant keys, the only ones a generator writes, and the witness as a
-    trusted partition, since it is one of the candidates.
+    checked for every map.  Every generated map is a dict from each
+    relevant key to its value's key.  The scan gets the map's table from
+    _campaign_table, which range-checks those values, and the witness as
+    a trusted partition, since it is one of the candidates.
     """
     start = time.perf_counter()
     ctx = _comb_context(k, m, N)
     n_cands = len(ctx.candidates)
 
-    identity = tuple(range(_space_size(k * N)))  # per campaign, not cached: Q(9) has 21147 keys
-
-    def assign(combo):
-        values = list(identity)
-        for ti, vi in zip(ctx.relevant, combo):
-            values[ti] = vi
-        return tuple(values)
-
+    size = count_partitions(k * N)  # the draw range and the exhaustive choice count
     rng = random.Random()  # reseeded for every sampled or adversarial map
     stream, seed = map_stream(
         strategy,
-        len(identity),
+        size,
         len(ctx.relevant),
-        assign,
-        lambda seed, i: _sample_values(ctx, identity, rng, seed, i),
-        lambda seed, i: _adversarial_values(ctx, identity, rng, seed, i),
+        lambda combo: dict(zip(ctx.relevant, combo)),
+        lambda seed, i: _sample_values(ctx, size, rng, seed, i),
+        lambda seed, i: _adversarial_values(ctx, rng, seed, i),
     )
 
     tested = 0
@@ -616,7 +595,7 @@ def verify_comb(k: int, m: int, N: int, strategy: Strategy) -> WitnessReport:
                 pigeonhole_ok = False  # would contradict the counting chain
         else:
             # through the module global, so a wrapper sees every re-validation
-            if not witness_is_valid(_campaign_table(ctx, k * N, values), _trusted(witness), m):
+            if not witness_is_valid(_campaign_table(k * N, size, values), _trusted(witness), m):
                 raise RuntimeError("witness failed independent re-validation")
         if bad > worst_bad:
             worst_bad = bad

@@ -178,6 +178,22 @@ class TestVerify:
         )
         assert code == 3
 
+    # Q(12) has 4213597 partitions, over the partition-space cap: verify-comb's context
+    # and bad-pairs' total table both refuse it before any map is tested
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-comb", "--k", "4", "--m", "4", "--N", "3"],
+            ["verify-comb", "--k", "4", "--m", "4", "--N", "3", "--strategy", "adversarial:5:1"],
+            ["bad-pairs", "--k", "4", "--m", "4", "--N", "3"],
+        ],
+        ids=["verify-comb", "verify-comb-adversarial", "bad-pairs"],
+    )
+    def test_partition_space_size_wall(self, argv, capsys):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: partition space of 12 points is too large to materialize\n")
+
     def test_tree_rejects_adversarial_strategy(self, capsys):
         code = main(["verify-tree", "--k", "2", "--N", "2", "--strategy", "adversarial:5:1"])
         assert code == 2

@@ -144,7 +144,7 @@ def test_block_partition_ground_is_derived_not_compared():
     assert pickle.loads(pickle.dumps(P)).ground == P.ground
 
 
-def test_pool_payloads_round_trip():
+def test_campaign_job_chunk_table_and_report_pickle_round_trip():
     job = pickle.loads(pickle.dumps(functools.partial(verify_comb, 3, 2, 2)))
     assert job.func is verify_comb and job.args == (3, 2, 2)
     chunk = Sampled(10_000, seed=7, start=10_000)

@@ -213,7 +213,7 @@ class TestFindWitness:
         maps = [EMapTable(mprime, tuple(rng.randrange(size) for _ in range(size))) for _ in range(30)]
         maps += [killing_map(rng, m, mprime) for _ in range(30)]
         ctx = _fusion_context(m, mprime)
-        maps += [EMapTable(mprime, adversarial_values(ctx, 5, i)) for i in range(10)]
+        maps += [EMapTable(mprime, total_table(ctx, adversarial_values(ctx, 5, i))) for i in range(10)]
         verdicts = [find_witness(e, m, mprime) for e in maps]
         assert verdicts == [reference_find_witness(e, m, mprime) for e in maps]
         assert (None in verdicts) == (config in WITNESS_FREE_CONFIGS)
@@ -285,36 +285,40 @@ def recorded_campaign(monkeypatch, kmn, strategy):
     return verify_comb(*kmn, strategy), maps
 
 
+def total_table(ctx, values):
+    """A generated map's total expansion over Q(n): its values at the relevant keys, identity elsewhere."""
+    table = list(range(len(space_of(ctx))))
+    for ti, vi in values.items():
+        table[ti] = vi
+    return tuple(table)
+
+
 class TestCampaignTables:
-    """The campaign checks only length and relevant values; these tests hold it to that."""
+    """The campaign checks only the values of a map on its relevant keys; these tests hold it to that."""
 
     @pytest.mark.parametrize("kmn,strategy", GENERATED_CAMPAIGNS)
-    def test_generated_maps_differ_from_identity_only_at_relevant_keys(self, monkeypatch, kmn, strategy):
+    def test_generated_maps_hold_exactly_the_relevant_keys(self, monkeypatch, kmn, strategy):
         rep, maps = recorded_campaign(monkeypatch, kmn, strategy)
         ctx = _comb_context(*kmn)
-        relevant = set(ctx.relevant)
         assert len(maps) == rep.details["tested"] > 0
         for values in maps:
-            assert all(v == ti for ti, v in enumerate(values) if ti not in relevant)
-            EMapTable(kmn[0] * kmn[2], values)  # the public constructor's full check
+            assert sorted(values) == list(ctx.relevant)
+            table = total_table(ctx, values)
+            EMapTable(kmn[0] * kmn[2], table)  # the public constructor's full check
+            kills, table_kills = _kill_masks(ctx, values), _kill_masks(ctx, table)
+            assert table_kills == kills and _witness(ctx, table_kills) == _witness(ctx, kills)
 
-    @pytest.mark.parametrize(
-        "corrupt,message",
-        [
-            (lambda values, ti, size: values[:ti] + (size,) + values[ti + 1 :], "value index out of range"),
-            (lambda values, ti, size: values[:ti] + (-1,) + values[ti + 1 :], "value index out of range"),
-            (lambda values, ti, size: values + (0,), "map must be total over 203 partitions"),
-        ],
-        ids=["size", "negative", "too-long"],
-    )
-    def test_corrupt_sampler_is_caught(self, monkeypatch, corrupt, message):
+    @pytest.mark.parametrize("corrupt", [lambda size: size, lambda size: -1], ids=["size", "negative"])
+    def test_corrupt_sampler_is_caught(self, monkeypatch, corrupt):
         real = witness_module._sample_values
 
-        def corrupted(ctx, identity, rng, seed, i):
-            return corrupt(real(ctx, identity, rng, seed, i), ctx.relevant[-1], len(identity))
+        def corrupted(ctx, size, rng, seed, i):
+            values = real(ctx, size, rng, seed, i)
+            values[ctx.relevant[-1]] = corrupt(size)
+            return values
 
         monkeypatch.setattr(witness_module, "_sample_values", corrupted)
-        with pytest.raises(DomainError, match=message):
+        with pytest.raises(DomainError, match="value index out of range"):
             verify_comb(3, 2, 2, Sampled(5, seed=1))
 
     @pytest.mark.parametrize("kmn,strategy", GENERATED_CAMPAIGNS)
@@ -482,13 +486,10 @@ class TestLemmaKernel:
 
 
 def oracle_sample_values(ctx, seed, sample_index):
-    """A sampled map as a fresh random.Random per map and randrange draw it."""
+    """A sampled map as a fresh random.Random per map and randrange draw it, on the relevant keys."""
     rng = random.Random((seed << 32) ^ (sample_index * 0x9E3779B9 + 1))
     size = len(space_of(ctx))
-    values = list(range(size))
-    for ti in ctx.relevant:
-        values[ti] = rng.randrange(size)
-    return tuple(values)
+    return {ti: rng.randrange(size) for ti in ctx.relevant}
 
 
 class TestSampler:
@@ -499,25 +500,24 @@ class TestSampler:
     def test_draws_equal_a_fresh_generator_per_map(self, kmn, size):
         ctx = _comb_context(*kmn)
         assert len(space_of(ctx)) == size
-        identity = tuple(range(size))
         rng = random.Random()  # one generator for every map, as in a campaign
         for seed in (0, 7, 2**40):
             for i in range(51):
-                assert _sample_values(ctx, identity, rng, seed, i) == oracle_sample_values(ctx, seed, i)
+                assert _sample_values(ctx, size, rng, seed, i) == oracle_sample_values(ctx, seed, i)
 
 
 def adversarial_values(ctx, seed, map_index):
-    """One greedy map, with a generator and identity of its own."""
-    return _adversarial_values(ctx, tuple(range(len(space_of(ctx)))), random.Random(), seed, map_index)
+    """One greedy map, with a generator of its own."""
+    return _adversarial_values(ctx, random.Random(), seed, map_index)
 
 
 def oracle_adversarial_values(ctx, seed, map_index):
-    """A greedy map as a fresh random.Random per map and rng.choice per tie draw it."""
+    """A greedy map as a fresh random.Random per map and rng.choice per tie draw it, on the relevant keys."""
     rng = random.Random((seed << 32) ^ (map_index * 0x85EBCA6B + 3))
-    values = list(range(len(space_of(ctx))))
+    values = {ti: ti for ti in sorted(set().union(*oracle_keys(ctx)))}
     for ti, ties in oracle_greedy(ctx):
         values[ti] = min(ties) if map_index == 0 else rng.choice(ties)
-    return tuple(values)
+    return values
 
 
 # two Q(4) candidates whose first tie has one value and later ties more; no
@@ -529,13 +529,10 @@ class TestAdversary:
     @pytest.mark.parametrize("kmn", KERNEL_CONFIGS + FUSION_CONFIGS + [ONE_VALUE_TIE])
     def test_draws_equal_a_fresh_generator_per_map(self, kmn):
         ctx = _partition_context(kmn) if kmn == ONE_VALUE_TIE else context_of(kmn)
-        identity = tuple(range(len(space_of(ctx))))
         rng = random.Random()  # one generator for every map, as in a campaign
         for seed in (0, 7, 2**40):
             for i in range(51):
-                assert _adversarial_values(ctx, identity, rng, seed, i) == oracle_adversarial_values(
-                    ctx, seed, i
-                )
+                assert _adversarial_values(ctx, rng, seed, i) == oracle_adversarial_values(ctx, seed, i)
 
     def test_one_value_tie_comes_before_larger_ties(self):
         # so a one-value tie that skipped its draw would shift every later draw
