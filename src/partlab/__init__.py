@@ -7,134 +7,107 @@ finite pigeonhole lemmas, and grid-to-partition reductions, all behind
 a scriptable command line.
 """
 
-from .counting import (
-    CombRatioBound,
-    CoarseningProfile,
-    comb_ratio_bound,
-    count_extensions,
-    entropy_bounds,
-    profile_of,
-    ratio_R,
-)
-from .errors import (
-    BudgetError,
-    DomainError,
-    InsufficientTruncationError,
-    NotACutError,
-    PartlabError,
-    ThresholdError,
-)
-from .e1 import (
-    AllocationScheme,
-    BinaryGrid,
-    blowup_inverse,
-    blowup_iso,
-    cs_decode,
-    cs_encode,
-    e1_window_equiv,
-    reduce_f,
-    round_robin_alloc,
-)
-from .partitions import (
-    SetPartition,
-    coarsenings_of,
-    count_equipartitions,
-    count_partitions,
-    enumerate_equipartitions,
-    enumerate_partitions,
-    is_coarsening,
-    meet_refine,
-)
-from .prefixes import (
-    PartitionPrefix,
-    approx_r,
-    cube_member,
-    depth,
-    induced_coarsening_h,
-    mu_sequence,
-    project_g,
-    trace,
-)
-from .reports import WitnessReport
-from .tree import (
-    BlockPartitionKN,
-    enumerate_sections,
-    find_section_witness,
-    least_N_below_one,
-    section_bound,
-    verify_tree,
-)
-from .witness import (
-    Adversarial,
-    EMapTable,
-    Exhaustive,
-    Sampled,
-    bad_pairs,
-    find_witness,
-    fusion_conditions_hold,
-    fusion_step,
-    min_threshold_comb,
-    verify_comb,
-    witness_is_valid,
-)
+import sys as _sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "SetPartition",
-    "PartitionPrefix",
-    "WitnessReport",
-    "BinaryGrid",
-    "AllocationScheme",
-    "BlockPartitionKN",
-    "CoarseningProfile",
-    "CombRatioBound",
-    "EMapTable",
-    "Exhaustive",
-    "Sampled",
-    "Adversarial",
-    "PartlabError",
-    "DomainError",
-    "InsufficientTruncationError",
-    "NotACutError",
-    "BudgetError",
-    "ThresholdError",
-    "enumerate_partitions",
-    "enumerate_equipartitions",
-    "count_partitions",
-    "count_equipartitions",
-    "is_coarsening",
-    "meet_refine",
-    "coarsenings_of",
-    "profile_of",
-    "count_extensions",
-    "entropy_bounds",
-    "ratio_R",
-    "comb_ratio_bound",
-    "mu_sequence",
-    "approx_r",
-    "trace",
-    "depth",
-    "cube_member",
-    "induced_coarsening_h",
-    "project_g",
-    "bad_pairs",
-    "find_witness",
-    "witness_is_valid",
-    "verify_comb",
-    "min_threshold_comb",
-    "fusion_step",
-    "fusion_conditions_hold",
-    "enumerate_sections",
-    "find_section_witness",
-    "section_bound",
-    "least_N_below_one",
-    "verify_tree",
-    "round_robin_alloc",
-    "cs_encode",
-    "cs_decode",
-    "e1_window_equiv",
-    "reduce_f",
-    "blowup_iso",
-    "blowup_inverse",
-]
+# each submodule and the public names it exports; __getattr__ imports a submodule
+# the first time one of its names is used, so `import partlab` compiles none of them
+_EXPORTS = {
+    "counting": (
+        "CombRatioBound",
+        "CoarseningProfile",
+        "comb_ratio_bound",
+        "count_extensions",
+        "entropy_bounds",
+        "profile_of",
+        "ratio_R",
+    ),
+    "errors": (
+        "BudgetError",
+        "DomainError",
+        "InsufficientTruncationError",
+        "NotACutError",
+        "PartlabError",
+        "ThresholdError",
+    ),
+    "e1": (
+        "AllocationScheme",
+        "BinaryGrid",
+        "blowup_inverse",
+        "blowup_iso",
+        "cs_decode",
+        "cs_encode",
+        "e1_window_equiv",
+        "reduce_f",
+        "round_robin_alloc",
+    ),
+    "partitions": (
+        "SetPartition",
+        "coarsenings_of",
+        "count_equipartitions",
+        "count_partitions",
+        "enumerate_equipartitions",
+        "enumerate_partitions",
+        "is_coarsening",
+        "meet_refine",
+    ),
+    "prefixes": (
+        "PartitionPrefix",
+        "approx_r",
+        "cube_member",
+        "depth",
+        "induced_coarsening_h",
+        "mu_sequence",
+        "project_g",
+        "trace",
+    ),
+    "reports": (
+        "WitnessReport",
+    ),
+    "tree": (
+        "BlockPartitionKN",
+        "enumerate_sections",
+        "find_section_witness",
+        "least_N_below_one",
+        "section_bound",
+        "verify_tree",
+    ),
+    "witness": (
+        "Adversarial",
+        "EMapTable",
+        "Exhaustive",
+        "Sampled",
+        "bad_pairs",
+        "find_witness",
+        "fusion_conditions_hold",
+        "fusion_step",
+        "min_threshold_comb",
+        "verify_comb",
+        "witness_is_valid",
+    ),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+
+def __getattr__(name: str):
+    """Resolve a public name or a submodule on first use (PEP 562) and keep it."""
+    if name in _EXPORTS:
+        return _submodule(name)
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(_submodule(_OWNER[name]), name)
+    return value
+
+
+def _submodule(module: str):
+    # the __import__ builtin, not importlib, which a bare interpreter has not loaded
+    full = f"{__name__}.{module}"
+    __import__(full)
+    return _sys.modules[full]
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

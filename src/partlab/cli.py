@@ -128,14 +128,34 @@ def _parse_prefix(text: str) -> PartitionPrefix:
 # -- subcommands --------------------------------------------------------------
 
 
+# the options that count's and enumerate's chosen mode would ignore beside each leading one
+_IGNORED_BESIDE = {"--bell": ("--n", "--k", "--N", "--m"), "--n": ("--k", "--N")}
+
+
+def _check_mode_options(args, missing: str) -> None:
+    """A usage error, before any work, unless the options choose one mode and nothing it ignores.
+
+    missing is the message for options that choose no mode at all.
+    """
+    values = (("--bell", getattr(args, "bell", None)), ("--n", args.n), ("--k", args.k), ("--N", args.N))
+    given = [opt for opt, value in values if value is not None] + (["--m"] if args.m else [])
+    for lead in given:
+        for other in _IGNORED_BESIDE.get(lead, ()):
+            if other in given:
+                raise DomainError(f"{lead} cannot be combined with {other}")
+    if "--N" in given and "--k" not in given:
+        raise DomainError("--N needs --k")
+    if "--k" in given and "--N" not in given:
+        raise DomainError("--k needs --N")
+    if not {"--bell", "--n", "--k"} & set(given):
+        raise DomainError(missing)
+
+
 def cmd_enumerate(args) -> int:
+    _check_mode_options(args, "enumerate needs --n (or --k with --N)")
     if args.k is not None:
-        if args.N is None:
-            raise DomainError("equipartition enumeration needs --k and --N")
         stream = enumerate_equipartitions(args.k, args.N, args.m)
     else:
-        if args.n is None:
-            raise DomainError("enumerate needs --n (or --k with --N)")
         stream = enumerate_partitions(args.n, args.m)
     lines = [p.to_text() for p in stream]
     _emit(args, "\n".join(lines))
@@ -143,19 +163,17 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_count(args) -> int:
+    _check_mode_options(args, "count needs --bell, --n, or --k with --N")
     if args.bell is not None:
         value = count_partitions(args.bell)
-    elif args.k is not None and args.N is not None:
+    elif args.k is not None:
         value = count_equipartitions(args.k, args.N)
         if args.m:
             value = sum(1 for _ in iter_equipartition_rgs(args.k, args.N, args.m))
-    elif args.n is not None:
-        if args.m:
-            value = sum(1 for _ in iter_rgs(args.n, args.m))
-        else:
-            value = count_partitions(args.n)
+    elif args.m:
+        value = sum(1 for _ in iter_rgs(args.n, args.m))
     else:
-        raise DomainError("count needs --bell, --n, or --k with --N")
+        value = count_partitions(args.n)
     _emit(args, str(value))
     return EXIT_PASS
 

@@ -18,6 +18,22 @@ from partlab.partitions import enumerate_equipartitions, enumerate_partitions
 from partlab.witness import Adversarial, Sampled, _comb_context, partition_space, verify_comb
 
 
+# the package's public names by the module that defines them, as partlab.__all__ exports them
+PUBLIC_API = {
+    "counting": "CoarseningProfile CombRatioBound comb_ratio_bound count_extensions entropy_bounds profile_of ratio_R",
+    "errors": "BudgetError DomainError InsufficientTruncationError NotACutError PartlabError ThresholdError",
+    "e1": "AllocationScheme BinaryGrid blowup_inverse blowup_iso cs_decode cs_encode e1_window_equiv reduce_f "
+    "round_robin_alloc",
+    "partitions": "SetPartition coarsenings_of count_equipartitions count_partitions enumerate_equipartitions "
+    "enumerate_partitions is_coarsening meet_refine",
+    "prefixes": "PartitionPrefix approx_r cube_member depth induced_coarsening_h mu_sequence project_g trace",
+    "reports": "WitnessReport",
+    "tree": "BlockPartitionKN enumerate_sections find_section_witness least_N_below_one section_bound verify_tree",
+    "witness": "Adversarial EMapTable Exhaustive Sampled bad_pairs find_witness fusion_conditions_hold fusion_step "
+    "min_threshold_comb verify_comb witness_is_valid",
+}
+
+
 def run_cli(*argv, capsys=None):
     code = main(list(argv))
     out = capsys.readouterr().out if capsys else None
@@ -73,6 +89,40 @@ class TestCountAndEnumerate:
         assert main(["count", *argv]) == 2
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", message)
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["count", "--bell", "5", "--n", "5"], "--bell cannot be combined with --n"),
+            (["count", "--bell", "5", "--k", "2"], "--bell cannot be combined with --k"),
+            (["count", "--bell", "5", "--N", "2"], "--bell cannot be combined with --N"),
+            (["count", "--bell", "5", "--m", "2"], "--bell cannot be combined with --m"),
+            (["count", "--n", "5", "--k", "2", "--N", "2"], "--n cannot be combined with --k"),
+            (["count", "--n", "5", "--k", "2"], "--n cannot be combined with --k"),
+            (["count", "--n", "5", "--N", "2"], "--n cannot be combined with --N"),
+            (["enumerate", "--n", "3", "--N", "2"], "--n cannot be combined with --N"),
+            (["enumerate", "--n", "3", "--k", "1"], "--n cannot be combined with --k"),
+            (["count", "--N", "2"], "--N needs --k"),
+            (["enumerate", "--N", "2", "--m", "1"], "--N needs --k"),
+            (["count", "--k", "2", "--m", "1"], "--k needs --N"),
+            (["enumerate", "--k", "2"], "--k needs --N"),
+            (["count", "--m", "1"], "count needs --bell, --n, or --k with --N"),
+            (["enumerate"], "enumerate needs --n (or --k with --N)"),
+        ],
+    )
+    def test_an_option_the_mode_would_ignore_is_usage_error(self, argv, message, capsys, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("counted or enumerated before rejecting the options")
+
+        for name in ("count_partitions", "count_equipartitions", "iter_rgs", "iter_equipartition_rgs",
+                     "enumerate_partitions", "enumerate_equipartitions"):
+            monkeypatch.setattr(cli, name, no_work)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+    def test_bell_beside_a_zero_m_is_the_bell_number(self, capsys):
+        assert run_cli("count", "--bell", "5", "--m", "0", capsys=capsys) == (0, "52\n")
 
 
 class TestVerify:
@@ -638,6 +688,58 @@ class TestConsoleScript:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    @staticmethod
+    def new_partlab_modules(statement, only_partlab=True):
+        """The partlab modules (or all modules) a fresh interpreter adds to sys.modules running statement."""
+        code = (
+            f"import sys; before = set(sys.modules); {statement}; "
+            "print(' '.join(sorted(m for m in set(sys.modules) - before "
+            f"if {not only_partlab} or m.split('.')[0] == 'partlab')))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()
+
+    def test_bare_package_import_loads_no_submodule(self):
+        assert self.new_partlab_modules("import partlab", only_partlab=False) == ["partlab"]
+
+    def test_submodule_import_loads_only_what_it_imports(self):
+        assert self.new_partlab_modules("import partlab.partitions") == [
+            "partlab", "partlab.errors", "partlab.partitions"
+        ]
+
+    def test_cli_import_loads_the_nine_modules(self):
+        # pinned: importing only what a subcommand runs must change this on purpose
+        names = "cli counting e1 errors partitions prefixes reports tree witness".split()
+        assert self.new_partlab_modules("import partlab.cli") == ["partlab"] + [f"partlab.{n}" for n in names]
+
+    def test_a_name_loads_its_module_on_first_use(self):
+        assert self.new_partlab_modules("import partlab; partlab.SetPartition") == [
+            "partlab", "partlab.errors", "partlab.partitions"
+        ]
+        assert self.new_partlab_modules("import partlab; partlab.witness") == self.new_partlab_modules(
+            "import partlab.witness"
+        )
+
+    def test_public_names_are_the_objects_their_modules_define(self):
+        import importlib
+
+        import partlab
+
+        assert sorted(partlab.__all__) == sorted(name for names in PUBLIC_API.values() for name in names.split())
+        assert len(partlab.__all__) == len(set(partlab.__all__)) == 56
+        for module, names in PUBLIC_API.items():
+            owner = importlib.import_module(f"partlab.{module}")
+            for name in names.split():
+                obj = getattr(partlab, name)
+                assert obj is getattr(owner, name) and obj.__module__ == owner.__name__, name
+        star = {}
+        exec("from partlab import *", star)
+        assert sorted(set(star) - {"__builtins__"}) == sorted(partlab.__all__)
+        assert set(partlab.__all__) <= set(dir(partlab))
+        with pytest.raises(AttributeError, match="no attribute 'verify_combs'"):
+            partlab.verify_combs
 
     def test_main_leaves_the_collector_alone(self, capsys):
         import gc

@@ -192,16 +192,16 @@ class TestCoarseningOrder:
             is_coarsening(SetPartition((0,)), SetPartition((0, 1)))
 
     def test_partial_order_axioms_exhaustive(self):
+        # one is_coarsening call per ordered pair; the axioms over all pairs and triples read that table
         for n in range(1, 7):
             space = list(enumerate_partitions(n, 0))
+            above = {s: {u for u in space if is_coarsening(s, u)} for s in space}
             for s in space:
-                assert is_coarsening(s, s)
-            for s, t in itertools.permutations(space, 2):
-                if is_coarsening(s, t) and is_coarsening(t, s):
-                    assert s == t
-            for s, t, u in itertools.product(space, repeat=3):
-                if is_coarsening(s, t) and is_coarsening(t, u):
-                    assert is_coarsening(s, u)
+                assert s in above[s]
+                for t in above[s]:
+                    if s in above[t]:
+                        assert s == t
+                    assert above[t] <= above[s]
 
     def test_coarsenings_of_matches_scan(self):
         for n in range(1, 6):
