@@ -28,8 +28,6 @@ from .partitions import (
     count_partitions,
     enumerate_equipartitions,
     enumerate_partitions,
-    iter_equipartition_rgs,
-    iter_rgs,
 )
 from .prefixes import PartitionPrefix, induced_coarsening_h
 from .reports import WitnessReport, json_text
@@ -167,13 +165,9 @@ def cmd_count(args) -> int:
     if args.bell is not None:
         value = count_partitions(args.bell)
     elif args.k is not None:
-        value = count_equipartitions(args.k, args.N)
-        if args.m:
-            value = sum(1 for _ in iter_equipartition_rgs(args.k, args.N, args.m))
-    elif args.m:
-        value = sum(1 for _ in iter_rgs(args.n, args.m))
+        value = count_equipartitions(args.k, args.N, args.m)
     else:
-        value = count_partitions(args.n)
+        value = count_partitions(args.n, args.m)
     _emit(args, str(value))
     return EXIT_PASS
 

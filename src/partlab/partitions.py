@@ -17,6 +17,8 @@ lazy generators in lexicographic rgs order.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
+from math import comb, factorial
 from operator import attrgetter
 from typing import Iterator
 
@@ -188,6 +190,14 @@ def _trusted(rgs: tuple[int, ...]) -> SetPartition:
     return p
 
 
+def _check_m(m: int, *, n: int | None = None, k: int | None = None) -> None:
+    """The one rule for m: at most the n points, or the k blocks, it keeps apart."""
+    if n is not None and not 0 <= m <= n:
+        raise DomainError(f"need 0 <= m <= n, got m={m}, n={n}")
+    if k is not None and not 0 <= m <= k:
+        raise DomainError(f"need 0 <= m <= k, got m={m}, k={k}")
+
+
 def iter_rgs(n: int, m: int = 0) -> Iterator[tuple[int, ...]]:
     """All rgs of length n with points 0..m-1 in distinct blocks, lex order.
 
@@ -196,8 +206,7 @@ def iter_rgs(n: int, m: int = 0) -> Iterator[tuple[int, ...]]:
     """
     if n < 1:
         raise DomainError("domain size must be >= 1")
-    if m < 0 or m > n:
-        raise DomainError(f"need 0 <= m <= n, got m={m}, n={n}")
+    _check_m(m, n=n)
     yield from _extend_rgs(n, tuple(range(max(m, 1))))
 
 
@@ -262,8 +271,7 @@ def iter_equipartition_rgs(k: int, N: int, m: int = 0) -> Iterator[tuple[int, ..
     """All rgs of k*N points with k blocks of N points each, first m separated."""
     if k < 1 or N < 1:
         raise DomainError("need k >= 1 and N >= 1")
-    if m < 0 or m > k:
-        raise DomainError(f"need 0 <= m <= k, got m={m}, k={k}")
+    _check_m(m, k=k)
     n = k * N
     a = [0] * n
     counts = [0] * k
@@ -303,26 +311,28 @@ def meet_refine(t1: SetPartition, t2: SetPartition) -> SetPartition:
     return _trusted(rgs_meet(t1.rgs, t2.rgs))
 
 
-def count_partitions(n: int) -> int:
-    """Number of partitions of n points, by the Bell triangle recurrence."""
+def count_partitions(n: int, m: int = 0) -> int:
+    """|Q^m(n)|, the r-Bell number sum_j C(n-m, j) m^(n-m-j) B(j) (Mezo 2011); B(n) at m <= 1.
+
+    j of the n-m other points form blocks of their own, and the rest each
+    join one of the first m.  Row j of the Bell triangle starts with B(j).
+    """
     if n < 1:
         raise DomainError("domain size must be >= 1")
-    row = [1]
-    for _ in range(n - 1):
-        nxt = [row[-1]]
-        for v in row:
-            nxt.append(nxt[-1] + v)
-        row = nxt
-    return row[-1]
+    _check_m(m, n=n)
+    bell, row = [], [1]
+    for _ in range(n - m + 1):
+        bell.append(row[0])
+        row = list(accumulate(row, initial=row[-1]))
+    return sum(comb(n - m, j) * m ** (n - m - j) * b for j, b in enumerate(bell))
 
 
-def count_equipartitions(k: int, N: int) -> int:
-    """(kN)! / (N!^k * k!), the size of the equipartition space."""
-    from math import factorial
-
+def count_equipartitions(k: int, N: int, m: int = 0) -> int:
+    """(kN-m)! / ((N-1)!^m N!^(k-m) (k-m)!): the first m points fill m blocks, the k-m others are unordered."""
     if k < 1 or N < 1:
         raise DomainError("need k >= 1 and N >= 1")
-    return factorial(k * N) // (factorial(N) ** k * factorial(k))
+    _check_m(m, k=k)
+    return factorial(k * N - m) // (factorial(N - 1) ** m * factorial(N) ** (k - m) * factorial(k - m))
 
 
 def _coarsening_rgs(s: tuple[int, ...]) -> Iterator[tuple[int, ...]]:

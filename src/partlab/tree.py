@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import random
 import time
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from typing import Iterator, Mapping, Optional
 
-from .errors import BudgetError, DomainError
+from .errors import DomainError
 from .partitions import _value_class
 from .reports import WitnessReport
 from .witness import Strategy, _kill_masks, _lemma_context, _witness, map_stream
@@ -166,15 +167,13 @@ def section_bound(k: int, N: int) -> Fraction:
     return 2**k * (1 - Fraction(N - 1, N) ** k)
 
 
-_SCAN_CAP = 10_000
-
-
 def least_N_below_one(k: int) -> int:
-    """Least N <= _SCAN_CAP with section_bound(k, N) < 1, by exact-rational scan."""
-    for N in range(1, _SCAN_CAP + 1):
-        if section_bound(k, N) < 1:
-            return N
-    raise BudgetError(f"no N below {_SCAN_CAP} brings the bound under 1")
+    """Least N with section_bound(k, N) < 1, by exact-rational bisection.
+
+    The bound falls as N grows, and 1 - (1 - 1/N)^k <= k/N puts it under 1
+    once N > k 2^k, so the answer lies in 1..k 2^k + 1.
+    """
+    return bisect_left(range(1, (k << k) + 2), True, key=lambda N: section_bound(k, N) < 1) + 1
 
 
 def intermediate_sum_bound(k: int, N: int) -> Fraction:

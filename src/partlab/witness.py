@@ -45,6 +45,7 @@ from typing import Callable, Iterator, Mapping, Optional, Union
 from .errors import BudgetError, DomainError, ThresholdError
 from .partitions import (
     SetPartition,
+    _check_m,
     _coarsening_rgs,
     _rgs_rank,
     _rgs_unrank,
@@ -264,28 +265,14 @@ def _lemma_context(space, candidates: tuple, down: Callable, leq: Callable) -> _
     return _LemmaContext(space, candidates, relevant, {ti: below[ti] for ti in relevant}, leq)
 
 
-class _RankIndex(dict):
-    """rgs -> lex rank, ranked on the first lookup, a plain subscript after; space maps back."""
-
-    def __init__(self):
-        super().__init__()
-        self.space: dict[int, tuple[int, ...]] = {}
-
-    def __missing__(self, rgs: tuple[int, ...]) -> int:
-        key = self[rgs] = _rgs_rank(rgs)
-        self.space[key] = rgs
-        return key
-
-
 def _partition_context(candidates: tuple[tuple[int, ...], ...]) -> _LemmaContext:
     """Candidates from one Q(n), keyed by lex rank and ordered by coarsening.
 
-    space holds the relevant keys only, each ranked when first found.  The
-    order is rgs_leq of the keys' partitions, memoised per pair of keys that
-    the kernel and _greedy_ties ask about, all of them relevant.
+    space holds the relevant keys only, each with the first rgs ranked to it.
+    The order is rgs_leq of the keys' partitions, memoised per pair of keys
+    that the kernel and _greedy_ties ask about, all of them relevant.
     """
-    index = _RankIndex()
-    space = index.space
+    space: dict[int, tuple[int, ...]] = {}
     memo: dict[tuple[int, int], bool] = {}
 
     def leq(vi: int, ti: int) -> bool:
@@ -295,7 +282,13 @@ def _partition_context(candidates: tuple[tuple[int, ...], ...]) -> _LemmaContext
             got = memo[key] = rgs_leq(space[vi], space[ti])
         return got
 
-    return _lemma_context(space, candidates, lambda s: map(index.__getitem__, _coarsening_rgs(s)), leq)
+    def down(s: tuple[int, ...]) -> Iterator[int]:
+        for rgs in _coarsening_rgs(s):
+            key = _rgs_rank(rgs)
+            space.setdefault(key, rgs)
+            yield key
+
+    return _lemma_context(space, candidates, down, leq)
 
 
 @lru_cache(maxsize=16)
@@ -670,8 +663,7 @@ def min_threshold_comb(
     bounds, but does not certify, the lemma's threshold; it depends on the
     tested maps only.
     """
-    if not 0 <= m <= k:
-        raise DomainError(f"need 0 <= m <= k, got m={m}, k={k}")
+    _check_m(m, k=k)
     if N_max < 1:
         raise DomainError(f"need N_max >= 1, got {N_max}")
     reports = []

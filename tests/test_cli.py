@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from partlab import cli
+from partlab import cli, partitions
 from partlab.cli import main
 from partlab.errors import BudgetError, DomainError
 from partlab.partitions import enumerate_equipartitions, enumerate_partitions
@@ -114,12 +114,30 @@ class TestCountAndEnumerate:
         def no_work(*args):
             raise AssertionError("counted or enumerated before rejecting the options")
 
-        for name in ("count_partitions", "count_equipartitions", "iter_rgs", "iter_equipartition_rgs",
-                     "enumerate_partitions", "enumerate_equipartitions"):
+        for name in ("count_partitions", "count_equipartitions", "enumerate_partitions", "enumerate_equipartitions"):
             monkeypatch.setattr(cli, name, no_work)
+        for name in ("iter_rgs", "iter_equipartition_rgs"):
+            monkeypatch.setattr(partitions, name, no_work)
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv,value",
+        [
+            (["--n", "15", "--m", "1"], 1382958545),
+            (["--n", "60", "--m", "3"], 834423350176047280239112807758675914873979324257608220607709),
+            (["--k", "5", "--N", "4", "--m", "1"], 2546168625),
+            (["--k", "6", "--N", "6", "--m", "2"], 3178783019806130056320),
+        ],
+    )
+    def test_count_with_m_enumerates_nothing(self, argv, value, capsys, monkeypatch):
+        def no_enumeration(*args):
+            raise AssertionError("count enumerated")
+
+        for name in ("iter_rgs", "iter_equipartition_rgs"):
+            monkeypatch.setattr(partitions, name, no_enumeration)
+        assert run_cli("count", *argv, capsys=capsys) == (0, f"{value}\n")
 
     def test_bell_beside_a_zero_m_is_the_bell_number(self, capsys):
         assert run_cli("count", "--bell", "5", "--m", "0", capsys=capsys) == (0, "52\n")
@@ -249,6 +267,11 @@ class TestVerify:
         assert code == 2
         assert "adversarial strategy needs an adversary; this campaign has none" in capsys.readouterr().err
 
+    def test_unknown_strategy_is_usage_error(self, capsys):
+        assert main(["verify-comb", "--k", "2", "--m", "2", "--N", "1", "--strategy", "greedy"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: unknown strategy 'greedy'\n")
+
     @pytest.mark.parametrize(
         "form",
         ["constant", "constant:", "constant:0,1", "constant:0,x", "identity:junk", "random:1:2", "random:junk", "bogus"],
@@ -326,10 +349,28 @@ class TestSmallCommands:
         assert code == 0
         assert out.strip() == "L=6;0,0,0,0,1,2"
 
+    def test_blowup_takes_the_length_form(self, capsys):
+        assert run_cli("blowup", "--a", "L=4;0,0,1,2", "--d", "0,1,0,1,2,3", capsys=capsys) == (0, "L=6;0,0,0,0,1,2\n")
+
     def test_encode(self, capsys):
         code, out = run_cli("encode", "--p", "0,1,0,1", capsys=capsys)
         assert code == 0
         assert out.split() == ["2", "4", "1010", "0101"]
+
+    def test_decode_inverts_encode(self, tmp_path, capsys):
+        grid = tmp_path / "grid.txt"
+        assert main(["encode", "--p", "0,1,0,1", "--out", str(grid)]) == 0
+        assert run_cli("encode", "--decode", str(grid), capsys=capsys) == (0, "L=4;0,1,0,1\n")
+
+    def test_encode_needs_an_input(self, capsys):
+        assert main(["encode"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: encode needs --p or --decode\n")
+
+    def test_reduce_e1_reads_a_grid_file(self, tmp_path, capsys):
+        grid = tmp_path / "grid.txt"
+        grid.write_text("2 4\n1010\n0101\n")
+        assert run_cli("reduce-e1", "--grid", str(grid), "--L", "9", capsys=capsys) == (0, "L=9;0,1,0,1,2,3,3,0,2\n")
 
     def test_reduce_e1(self, capsys):
         code, out = run_cli(

@@ -15,6 +15,7 @@ from partlab.counting import (
 from partlab.errors import DomainError
 from partlab.partitions import (
     SetPartition,
+    count_equipartitions,
     enumerate_equipartitions,
     enumerate_partitions,
     is_coarsening,
@@ -76,6 +77,13 @@ class TestCountExtensions:
                             assert expect == 0
                             continue
                         assert count_extensions(profile, k, N, m) == expect
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_one_block_profile_counts_the_whole_space(self, k):
+        # the one-block t is below every equipartition, so its product formula is the space's size
+        for N in range(1, 8):
+            for m in range(k + 1):
+                assert count_extensions(single_block_profile(k, m), k, N, m) == count_equipartitions(k, N, m)
 
     def test_mismatched_totals(self):
         with pytest.raises(DomainError):

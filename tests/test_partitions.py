@@ -61,6 +61,14 @@ class TestSetPartition:
         minima = [min(b) for b in p.blocks]
         assert minima == sorted(minima)
 
+    def test_restrict_and_str(self):
+        p = SetPartition((0, 1, 0, 2))
+        assert p.restrict(2) == SetPartition((0, 1))
+        assert str(p) == "0,1,0,2"
+        assert str(p.restrict(0)) == "(empty)"
+        with pytest.raises(DomainError, match="cannot restrict length-4 partition to 5"):
+            p.restrict(5)
+
     def test_text_round_trip(self):
         p = SetPartition((0, 0, 1, 2, 1))
         assert p.to_text() == "0,0,1,2,1"
@@ -254,3 +262,13 @@ class TestCounting:
     def test_equipartition_values(self):
         assert count_equipartitions(2, 2) == 3
         assert count_equipartitions(3, 2) == 15
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_separated_count_is_the_enumeration(self, n):
+        for m in range(n + 1):
+            assert count_partitions(n, m) == sum(1 for _ in iter_rgs(n, m))
+
+    @pytest.mark.parametrize("k,N", [(k, N) for k in range(1, 11) for N in range(1, 11) if k * N <= 10])
+    def test_separated_equipartition_count_is_the_enumeration(self, k, N):
+        for m in range(k + 1):
+            assert count_equipartitions(k, N, m) == sum(1 for _ in iter_equipartition_rgs(k, N, m))

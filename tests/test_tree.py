@@ -177,6 +177,15 @@ class TestBound:
         assert section_bound(2, 7) >= 1
         assert section_bound(3, 22) >= 1
 
+    def test_thresholds_below_the_old_scan_cap(self):
+        assert [least_N_below_one(k) for k in range(1, 10)] == [3, 8, 23, 63, 158, 382, 893, 2045, 4604]
+
+    @pytest.mark.parametrize("k", range(10, 15))
+    def test_threshold_above_the_old_scan_cap_is_least(self, k):
+        N = least_N_below_one(k)
+        assert section_bound(k, N) < 1 <= section_bound(k, N - 1)
+        assert k != 10 or N == 10236
+
     def test_intermediate_sum_dominates_nothing_vacuous(self):
         # the stated pre-relaxation sum is itself below the closed form
         for k in range(1, 4):

@@ -701,6 +701,13 @@ class TestFusionStep:
         with pytest.raises(RuntimeError, match="disagree on witness absence"):
             fusion_step(B, table, 0, 1, 4)
 
+    def test_witness_must_pass_re_validation(self, monkeypatch):
+        B = PartitionPrefix.discrete(8)
+        table = random_f_table(B, 4, seed=0)  # has a witness, as above
+        monkeypatch.setattr(witness_module, "witness_is_valid", lambda e, s, m: False)
+        with pytest.raises(RuntimeError, match="witness failed independent re-validation"):
+            fusion_step(B, table, 0, 1, 4)
+
     def test_approximation_preserved(self):
         for seed in range(10):
             B = PartitionPrefix.discrete(8)
