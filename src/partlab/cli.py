@@ -181,12 +181,11 @@ def cmd_verify_comb(args) -> int:
     strategy = _parse_strategy(args.strategy, args.samples, args.seed)
     if args.jobs > 1 and not isinstance(strategy, Sampled):
         raise DomainError(f"--jobs applies only to sampled strategies, got {args.strategy!r}")
-    if isinstance(strategy, Sampled) and (args.jobs > 1 or strategy.count > CHECKPOINT_EVERY):
-        # chunks of CHECKPOINT_EVERY maps; a zero-map campaign is one empty chunk
+    if isinstance(strategy, Sampled) and strategy.count > CHECKPOINT_EVERY:
         chunks = [
             Sampled(min(CHECKPOINT_EVERY, strategy.count - start), strategy.seed, start)
             for start in range(0, strategy.count, CHECKPOINT_EVERY)
-        ] or [strategy]
+        ]
         parts = _restore_or_run(
             args,
             {str(chunk.start): chunk for chunk in chunks},
@@ -205,12 +204,12 @@ def _restore_or_run(args, tasks: dict, run, jobs: int = 1) -> list[WitnessReport
     """run(task) for each task, in order, checkpointed to the --out state file.
 
     tasks maps each state key to its task.  A task whose key the state file
-    records is restored, not run; the others run, on min(jobs, pending)
-    forked workers when more than one is pending, and each report is
-    recorded as it arrives, so an interrupted run resumes where it stopped.
-    The state file is bound to the run's configuration: one recorded for
-    another configuration is a usage error, so a report is never assembled
-    from another run's results.
+    records is restored, not run; the others go to _run_chunks, on
+    min(jobs, pending) forked workers when that is at least 2 and in this
+    process otherwise, and each report is recorded as it arrives, so an
+    interrupted run resumes where it stopped.  The state file is bound to the
+    run's configuration: one recorded for another configuration is a usage
+    error, so a report is never assembled from another run's results.
     """
     config = {k: v for k, v in _config_dict(args).items() if k not in ("out", "format", "jobs")}
     config["checkpoint_every"] = CHECKPOINT_EVERY
@@ -235,23 +234,21 @@ def _restore_or_run(args, tasks: dict, run, jobs: int = 1) -> list[WitnessReport
                 json.dump(state, fh)
             os.replace(state_path + ".tmp", state_path)
 
-    if jobs > 1 and len(pending) > 1:
-        _run_forked(run, pending, min(jobs, len(pending)), record)
-    else:
-        for key, task in pending.items():
-            record(key, run(task).to_json_dict())
+    workers = min(jobs, len(pending))
+    _run_chunks(run, pending, workers if workers > 1 else 0, record)
     return [WitnessReport.from_json_dict(done[key]) for key in tasks]
 
 
-def _run_forked(run, tasks: dict, workers: int, record) -> None:
-    """record(key, run(task).to_json_dict()) for each task, in order, on forked workers.
+def _run_chunks(run, tasks: dict, workers: int, record) -> None:
+    """record(key, run(task).to_json_dict()) for each task, in order, helped by `workers` forked workers.
 
     Worker w runs tasks w, w + workers, ... and writes each report's JSON dict
-    to its own pipe as one line.  The parent reads the lines in task order.  A
-    worker that raises writes its exception, pickled, as a hex line instead and
-    stops; the parent raises it as its own, so exit codes and error lines are
-    an in-process run's.  However this returns, no worker is left running or
-    unreaped.
+    to its own pipe as one line.  The parent reads the lines in task order and
+    runs any task whose line is missing itself: with no workers, every task;
+    after a worker raised or was killed, that worker's tasks from there on.  So
+    an error is raised by the same call as in a one-process run, with its exit
+    code and message, and a worker that stops early costs time, not the
+    campaign.  However this returns, no worker is left running or unreaped.
     """
     keys, values = list(tasks), list(tasks.values())
     pids, pipes = [], []
@@ -269,14 +266,9 @@ def _run_forked(run, tasks: dict, workers: int, record) -> None:
             os.close(write_fd)
             pipes.append(open(read_fd))
         for i, key in enumerate(keys):
-            line = pipes[i % workers].readline()
-            if not line:
-                raise RuntimeError(f"worker {pids[i % workers]} ended before reporting chunk {key}")
-            if not line.startswith("{"):  # not a report: the worker's exception
-                import pickle
-
-                raise pickle.loads(bytes.fromhex(line))
-            record(key, json.loads(line))
+            line = pipes[i % workers].readline() if pipes else ""
+            # a line cut short by a killed worker is as missing as no line
+            record(key, json.loads(line) if line.endswith("\n") else run(values[i]).to_json_dict())
     except BaseException:
         import signal
 
@@ -291,16 +283,11 @@ def _run_forked(run, tasks: dict, workers: int, record) -> None:
 
 
 def _work(run, tasks: list, fd: int) -> None:
-    """A forked worker's life: a line to fd per task until one raises; it leaves by os._exit."""
+    """A forked worker's life: a line to fd per task until one raises; it leaves by os._exit, silently."""
     try:
         with open(fd, "w") as pipe:
-            try:
-                for task in tasks:
-                    print(json.dumps(run(task).to_json_dict()), file=pipe, flush=True)
-            except BaseException as exc:
-                import pickle
-
-                print(pickle.dumps(exc).hex(), file=pipe)
+            for task in tasks:
+                print(json.dumps(run(task).to_json_dict()), file=pipe, flush=True)
     finally:
         os._exit(0)
 
@@ -411,12 +398,14 @@ def cmd_blowup(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    if args.decode:
+    if args.decode is not None:
+        if args.p is not None:
+            raise DomainError("--p cannot be combined with --decode")
         with open(args.decode) as fh:
             grid = BinaryGrid.from_text(fh.read())
         _emit(args, cs_decode(grid).to_text())
     else:
-        if not args.p:
+        if args.p is None:
             raise DomainError("encode needs --p or --decode")
         _emit(args, cs_encode(_parse_prefix(args.p)).to_text().rstrip("\n"))
     return EXIT_PASS
@@ -536,7 +525,7 @@ def main(argv=None) -> int:
     except (BudgetError, ThresholdError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (DomainError, PartlabError, OSError, ValueError) as exc:
+    except (PartlabError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

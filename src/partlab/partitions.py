@@ -161,6 +161,8 @@ class SetPartition:
         return out
 
     def restrict(self, length: int) -> "SetPartition":
+        if length < 0:
+            raise DomainError(f"cannot restrict a partition to negative length {length}")
         if length > self.n:
             raise DomainError(f"cannot restrict length-{self.n} partition to {length}")
         return SetPartition(self.rgs[:length])

@@ -55,6 +55,8 @@ class PartitionPrefix:
         return SetPartition(self.rgs)
 
     def restrict(self, length: int) -> SetPartition:
+        if length < 0:
+            raise DomainError(f"cannot restrict a prefix to negative length {length}")
         if length > self.L:
             raise InsufficientTruncationError(
                 f"window of length {self.L} cannot be restricted to {length}"

@@ -2,6 +2,7 @@ import argparse
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
 import tempfile
@@ -367,6 +368,24 @@ class TestSmallCommands:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", "error: encode needs --p or --decode\n")
 
+    @pytest.mark.parametrize(
+        "argv,err",
+        [
+            (["--p", ""], "a prefix must have positive length"),
+            (["--decode", ""], "No such file or directory: ''"),
+            (["--p", "0,1", "--decode", "grid.txt"], "--p cannot be combined with --decode"),
+            (["--decode", "grid.txt", "--p", ""], "--p cannot be combined with --decode"),
+        ],
+        ids=["empty --p", "empty --decode", "--p then --decode", "--decode then --p"],
+    )
+    def test_encode_takes_exactly_one_input(self, argv, err, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "grid.txt").write_text("2 4\n1010\n0101\n")
+        assert main(["encode", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and err in captured.err
+
     def test_reduce_e1_reads_a_grid_file(self, tmp_path, capsys):
         grid = tmp_path / "grid.txt"
         grid.write_text("2 4\n1010\n0101\n")
@@ -508,15 +527,15 @@ class TestCampaignRoundTrip:
         assert chunked == single
         assert resumed == single
 
-    def test_zero_map_chunked_run_matches_single_run(self, tmp_path):
+    def test_zero_map_run_with_jobs_matches_single_run(self, tmp_path):
         single = _campaign_report(tmp_path, "single.json", (3, 2, 2), "sampled:0:1")
-        chunked = _campaign_report(tmp_path, "chunked.json", (3, 2, 2), "sampled:0:1", "--jobs", "2")
-        assert chunked == single
+        with_jobs = _campaign_report(tmp_path, "jobs.json", (3, 2, 2), "sampled:0:1", "--jobs", "2")
+        assert with_jobs == single
         code, report = single
         assert code == 0
         assert report["details"]["tested"] == 0
 
-    def test_pool_is_sized_to_the_pending_chunks(self, tmp_path, monkeypatch):
+    def test_workers_are_sized_to_the_pending_chunks(self, tmp_path, monkeypatch):
         forks = []
         real_fork = os.fork
 
@@ -573,6 +592,45 @@ class TestCampaignRoundTrip:
             assert outcomes[0][0].err == f"error: {error}\n"
         with pytest.raises(ChildProcessError):  # every worker was reaped
             os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("mid_line", [False, True], ids=["before its line", "mid-line"])
+    def test_a_killed_worker_leaves_its_chunks_to_the_parent(self, mid_line, tmp_path, monkeypatch, capsys):
+        parent = os.getpid()
+        doomed = []
+
+        def killed_in_the_second_chunk(k, m, N, strategy):
+            if os.getpid() != parent and strategy.start == 7:
+                if not mid_line:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                doomed.append(strategy)
+            return verify_comb(k, m, N, strategy)
+
+        def half_a_line(text, file, flush):
+            if not doomed:
+                return print(text, file=file, flush=flush)
+            file.write(text[: len(text) // 2])
+            file.flush()
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr("partlab.cli.verify_comb", killed_in_the_second_chunk)  # forked workers inherit it
+        monkeypatch.setattr("partlab.cli.print", half_a_line, raising=False)  # the module's name shadows the builtin
+        monkeypatch.setattr("partlab.cli.CHECKPOINT_EVERY", 7)
+        single = _campaign_report(tmp_path, "jobs1.json", (2, 2, 2), "sampled:20:1", "--jobs", "1")
+        assert _campaign_report(tmp_path, "jobs2.json", (2, 2, 2), "sampled:20:1", "--jobs", "2") == single
+        assert capsys.readouterr().err == ""
+        for jobs in ("1", "2"):
+            state = json.loads((tmp_path / f"jobs{jobs}.json.state").read_text())
+            assert list(state["done"]) == ["0", "7", "14"]
+        with pytest.raises(ChildProcessError):  # every worker was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("count", [0, 1, 7])
+    def test_a_one_chunk_campaign_with_jobs_writes_no_state(self, count, tmp_path, monkeypatch):
+        monkeypatch.setattr("partlab.cli.CHECKPOINT_EVERY", 7)
+        strategy = f"sampled:{count}:1"
+        single = _campaign_report(tmp_path, "jobs1.json", (2, 2, 2), strategy)
+        assert _campaign_report(tmp_path, "jobs2.json", (2, 2, 2), strategy, "--jobs", "2") == single
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["jobs1.json", "jobs2.json"]
 
     def test_jobs_above_one_without_fork_is_usage_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delattr(os, "fork")

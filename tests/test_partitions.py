@@ -68,6 +68,10 @@ class TestSetPartition:
         assert str(p.restrict(0)) == "(empty)"
         with pytest.raises(DomainError, match="cannot restrict length-4 partition to 5"):
             p.restrict(5)
+        # a negative length would slice from the end
+        for length in (-1, -4, -5):
+            with pytest.raises(DomainError, match=f"negative length {length}"):
+                p.restrict(length)
 
     def test_text_round_trip(self):
         p = SetPartition((0, 0, 1, 2, 1))

@@ -45,6 +45,18 @@ class TestPrefixBasics:
         with pytest.raises(DomainError):
             PartitionPrefix(())
 
+    def test_restrict(self):
+        p = PartitionPrefix((0, 1, 0))
+        assert p.restrict(3) == SetPartition((0, 1, 0))
+        assert p.restrict(1) == SetPartition((0,))
+        assert p.restrict(0) == SetPartition(())
+        with pytest.raises(InsufficientTruncationError):
+            p.restrict(4)
+        # a negative length would slice from the end
+        for length in (-1, -2, -3, -4):
+            with pytest.raises(DomainError, match=f"negative length {length}"):
+                p.restrict(length)
+
 
 class TestMuSequence:
     def test_discrete(self):
