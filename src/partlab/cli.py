@@ -82,18 +82,27 @@ def _config_dict(args: argparse.Namespace) -> dict:
 # characters per write: a text file encodes each write into a new bytes
 # object, and one slice at a time keeps that copy small for a large report
 _OUT_SLICE = 1 << 16
+_LINES_PER_PIECE = 4096  # of a streamed listing
 
 
-def _emit(args, payload: str) -> None:
+def _emit(args, payload) -> None:
+    """Write payload, a str or an iterator of them, each followed by a newline as print writes it;
+    in --out a text that already ends with one gets none.  --out is opened once the first text
+    is made, so a stream that fails at its start leaves no file, as a failing str payload does.
+    """
+    pieces = iter([payload]) if isinstance(payload, str) else payload
+    pieces = itertools.chain([next(pieces, "")], pieces)
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
-            for start in range(0, len(payload), _OUT_SLICE):
-                fh.write(payload[start : start + _OUT_SLICE])
-            if not payload.endswith("\n"):
-                fh.write("\n")
+            for piece in pieces:
+                for start in range(0, len(piece), _OUT_SLICE):
+                    fh.write(piece[start : start + _OUT_SLICE])
+                if not piece.endswith("\n"):
+                    fh.write("\n")
     else:
         try:
-            print(payload, flush=True)
+            for piece in pieces:
+                print(piece, flush=True)
         except BrokenPipeError:
             # the reader is done: stdout goes to devnull so the shutdown flush cannot fail
             devnull = os.open(os.devnull, os.O_WRONLY)
@@ -155,8 +164,8 @@ def cmd_enumerate(args) -> int:
         stream = enumerate_equipartitions(args.k, args.N, args.m)
     else:
         stream = enumerate_partitions(args.n, args.m)
-    lines = [p.to_text() for p in stream]
-    _emit(args, "\n".join(lines))
+    lines = map(SetPartition.to_text, stream)
+    _emit(args, iter(lambda: "\n".join(itertools.islice(lines, _LINES_PER_PIECE)), ""))
     return EXIT_PASS
 
 

@@ -92,8 +92,8 @@ def _value_class(*fields: str, frozen: bool = True, compare: bool = True):
     """What dataclass(frozen=frozen, eq=compare) gave a class, for a class with __slots__.
 
     repr shows `fields` (default: the slots).  eq compares their tuple within one class and
-    hash is its hash, unless the class writes both, straight-line, as the hot ones do.  A
-    frozen instance refuses assignment and pickles through the constructor, which takes `fields`.
+    hash is its hash.  A frozen instance refuses assignment and pickles through the
+    constructor, which takes `fields`.
     """
 
     def apply(cls):
@@ -110,7 +110,7 @@ def _value_class(*fields: str, frozen: bool = True, compare: bool = True):
             return NotImplemented
 
         cls.__repr__ = __repr__
-        if compare and "__eq__" not in vars(cls):
+        if compare:
             cls.__eq__ = __eq__
             cls.__hash__ = (lambda self: hash(key(self))) if frozen else None
         if frozen:
@@ -121,13 +121,9 @@ def _value_class(*fields: str, frozen: bool = True, compare: bool = True):
     return apply
 
 
-@_value_class()
-class SetPartition:
-    """A partition of {0,...,n-1} in canonical rgs form.
-
-    The empty partition (n = 0) is a legal value: it appears as the
-    0-th approximation of every prefix.
-    """
+class _Rgs:
+    """A canonical rgs: the one validating constructor, block count and text codec of
+    SetPartition and PartitionPrefix, which stay unequal siblings."""
 
     __slots__ = ("rgs",)
 
@@ -137,21 +133,43 @@ class SetPartition:
             raise DomainError(f"not a restricted growth string: {rgs!r}")
         object.__setattr__(self, "rgs", rgs)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.rgs == other.rgs
-        return NotImplemented
+    @property
+    def num_blocks(self) -> int:
+        return max(self.rgs) + 1 if self.rgs else 0
 
-    def __hash__(self):
-        return hash((self.rgs,))
+    @classmethod
+    def discrete(cls, n: int):
+        return cls(tuple(range(n)))
+
+    def to_text(self) -> str:
+        return ",".join(map(str, self.rgs))
+
+    @staticmethod
+    def _parse(text: str) -> tuple[int, ...]:
+        """The values of a comma-separated rgs text; the empty text is the empty rgs."""
+        return tuple(int(tok) for tok in text.split(",")) if text else ()
+
+    @classmethod
+    def from_text(cls, text: str):
+        return cls(cls._parse(text.strip()))
+
+    def __str__(self) -> str:
+        return self.to_text() or "(empty)"
+
+
+@_value_class("rgs")
+class SetPartition(_Rgs):
+    """A partition of {0,...,n-1} in canonical rgs form.
+
+    The empty partition (n = 0) is a legal value: it appears as the
+    0-th approximation of every prefix.
+    """
+
+    __slots__ = ()
 
     @property
     def n(self) -> int:
         return len(self.rgs)
-
-    @property
-    def num_blocks(self) -> int:
-        return max(self.rgs) + 1 if self.rgs else 0
 
     @property
     def blocks(self) -> list[list[int]]:
@@ -166,23 +184,6 @@ class SetPartition:
         if length > self.n:
             raise DomainError(f"cannot restrict length-{self.n} partition to {length}")
         return SetPartition(self.rgs[:length])
-
-    @classmethod
-    def discrete(cls, n: int) -> "SetPartition":
-        return cls(tuple(range(n)))
-
-    def to_text(self) -> str:
-        return ",".join(str(v) for v in self.rgs)
-
-    @classmethod
-    def from_text(cls, text: str) -> "SetPartition":
-        text = text.strip()
-        if not text:
-            return cls(())
-        return cls(tuple(int(tok) for tok in text.split(",")))
-
-    def __str__(self) -> str:
-        return self.to_text() or "(empty)"
 
 
 def _trusted(rgs: tuple[int, ...]) -> SetPartition:

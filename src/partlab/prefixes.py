@@ -2,8 +2,8 @@
 
 A PartitionPrefix is the restriction to {0,...,L-1} of an infinite
 partition all of whose blocks are open-ended; the representation is the
-same canonical rgs as SetPartition plus the semantic convention that
-every visible block extends past the window.
+same canonical rgs as SetPartition, on the same base, plus the semantic
+convention that every visible block extends past the window.
 
 Every operation that the window cannot decide raises
 InsufficientTruncationError rather than guessing.
@@ -12,7 +12,7 @@ InsufficientTruncationError rather than guessing.
 from __future__ import annotations
 
 from .errors import DomainError, InsufficientTruncationError, NotACutError
-from .partitions import SetPartition, _value_class, relabel_canonical, rgs_is_valid, rgs_leq
+from .partitions import SetPartition, _Rgs, _value_class, relabel_canonical, rgs_leq
 
 __all__ = [
     "PartitionPrefix",
@@ -27,29 +27,21 @@ __all__ = [
 ]
 
 
-@_value_class()
-class PartitionPrefix:
+@_value_class("rgs")
+class PartitionPrefix(_Rgs):
     """Length-L window onto an infinite partition with open-ended blocks."""
 
-    __slots__ = ("rgs",)
+    __slots__ = ()
 
     def __init__(self, rgs: tuple[int, ...]):
         rgs = tuple(rgs)
         if not rgs:
             raise DomainError("a prefix must have positive length")
-        if not rgs_is_valid(rgs):
-            raise DomainError(f"not a restricted growth string: {rgs!r}")
-        object.__setattr__(self, "rgs", rgs)
-
-    __eq__, __hash__ = SetPartition.__eq__, SetPartition.__hash__  # over rgs, between instances of one class
+        super().__init__(rgs)
 
     @property
     def L(self) -> int:
         return len(self.rgs)
-
-    @property
-    def num_blocks(self) -> int:
-        return max(self.rgs) + 1
 
     def as_partition(self) -> SetPartition:
         return SetPartition(self.rgs)
@@ -63,12 +55,8 @@ class PartitionPrefix:
             )
         return SetPartition(self.rgs[:length])
 
-    @classmethod
-    def discrete(cls, L: int) -> "PartitionPrefix":
-        return cls(tuple(range(L)))
-
     def to_text(self) -> str:
-        return f"L={self.L};" + ",".join(str(v) for v in self.rgs)
+        return f"L={self.L};" + super().to_text()
 
     @classmethod
     def from_text(cls, text: str) -> "PartitionPrefix":
@@ -77,13 +65,10 @@ class PartitionPrefix:
             raise DomainError(f"prefix text must carry an 'L=<n>;' header: {text!r}")
         head, _, body = text.partition(";")
         length = int(head[2:])
-        rgs = tuple(int(tok) for tok in body.split(",")) if body else ()
+        rgs = cls._parse(body)
         if len(rgs) != length:
             raise DomainError(f"header length {length} does not match body of {len(rgs)}")
         return cls(rgs)
-
-    def __str__(self) -> str:
-        return self.to_text()
 
 
 def mu_sequence(B: PartitionPrefix) -> list[int]:

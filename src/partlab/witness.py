@@ -241,13 +241,13 @@ def map_stream(
 class _LemmaContext:
     # hashed by identity, so _greedy_ties can cache per context
     # space: key -> its element: the relevant keys' rgs, or a range of point masks
-    # relevant: keys of the t below at least one candidate
-    # below: per relevant v: bitmask of the candidates s with v <= s
+    # below: keyed by the relevant keys, those of the t below at least one candidate, in
+    # ascending order; per key v, the bitmask of the candidates s with v <= s
     # leq: the order on keys: rgs_leq of their partitions, or inclusion of point masks
-    __slots__ = ("space", "candidates", "relevant", "below", "leq")
+    __slots__ = ("space", "candidates", "below", "leq")
 
-    def __init__(self, space: Union[Mapping, range], candidates: tuple, relevant: tuple, below: dict, leq):
-        for name, value in zip(self.__slots__, (space, candidates, relevant, below, leq)):
+    def __init__(self, space: Union[Mapping, range], candidates: tuple, below: dict, leq):
+        for name, value in zip(self.__slots__, (space, candidates, below, leq)):
             object.__setattr__(self, name, value)
 
 
@@ -261,8 +261,7 @@ def _lemma_context(space, candidates: tuple, down: Callable, leq: Callable) -> _
     for ci, s in enumerate(candidates):
         for ti in down(s):
             below[ti] = below.get(ti, 0) | 1 << ci
-    relevant = tuple(sorted(below))
-    return _LemmaContext(space, candidates, relevant, {ti: below[ti] for ti in relevant}, leq)
+    return _LemmaContext(space, candidates, {ti: below[ti] for ti in sorted(below)}, leq)
 
 
 def _partition_context(candidates: tuple[tuple[int, ...], ...]) -> _LemmaContext:
@@ -340,13 +339,13 @@ def _bad_count(kills: dict[int, int]) -> int:
     return sum(map(int.bit_count, kills.values()))
 
 
-def _census(ctx: _LemmaContext, kills: dict[int, int]) -> dict[tuple[int, ...], int]:
-    """Bad pairs per candidate, for the candidates that have any."""
+def _census(ctx: _LemmaContext, kills: dict[int, int]) -> dict[str, int]:
+    """Bad pairs per candidate, keyed by its rgs text, for the candidates that have any."""
     per = {}
     for ci, s in enumerate(ctx.candidates):
         bad = sum(mask >> ci & 1 for mask in kills.values())
         if bad:
-            per[s] = bad
+            per[_trusted(s).to_text()] = bad
     return per
 
 
@@ -424,7 +423,6 @@ def bad_pairs(e: EMapTable, k: int, m: int, N: int) -> WitnessReport:
         raise DomainError(f"map is over {e.n} points, expected {k * N}")
     kills = _kill_masks(ctx, e.values)
     total = _bad_count(kills)
-    per = _census(ctx, kills)
     witness = _witness(ctx, kills)
     if witness is not None:
         witness = _trusted(witness)
@@ -439,7 +437,7 @@ def bad_pairs(e: EMapTable, k: int, m: int, N: int) -> WitnessReport:
         witness=witness,
         bad_pair_count=total,
         candidate_count=len(ctx.candidates),
-        census={",".join(map(str, s)): b for s, b in per.items()},
+        census=_census(ctx, kills),
         ratio=Fraction(total, pair_count),
         elapsed_ms=(time.perf_counter() - start) * 1000.0,
         details={"coarsening_pair_count": pair_count},
@@ -461,7 +459,7 @@ def _sample_values(
     getrandbits = rng.getrandbits
     bits = size.bit_length()
     values = {}
-    for ti in ctx.relevant:
+    for ti in ctx.below:
         vi = getrandbits(bits)
         while vi >= size:
             vi = getrandbits(bits)
@@ -507,7 +505,7 @@ def _adversarial_values(
     value invalidates it.  Results are a lower bound on adversarial
     difficulty.
     """
-    values = dict(zip(ctx.relevant, ctx.relevant))
+    values = dict(zip(ctx.below, ctx.below))
     if map_index == 0:
         for ti, ties in _greedy_ties(ctx):
             values[ti] = min(ties)
@@ -563,8 +561,8 @@ def verify_comb(k: int, m: int, N: int, strategy: Strategy) -> WitnessReport:
     stream, seed = map_stream(
         strategy,
         size,
-        len(ctx.relevant),
-        lambda combo: dict(zip(ctx.relevant, combo)),
+        len(ctx.below),
+        lambda combo: dict(zip(ctx.below, combo)),
         lambda seed, i: _sample_values(ctx, size, rng, seed, i),
         lambda seed, i: _adversarial_values(ctx, rng, seed, i),
     )
@@ -595,7 +593,6 @@ def verify_comb(k: int, m: int, N: int, strategy: Strategy) -> WitnessReport:
             worst_kills = kills
             worst_witness = witness
 
-    worst_census = _census(ctx, worst_kills)
     space = ctx.space
     # one entry per distinct key pair, shared by every shape holding it, so
     # json_text renders it once; a shape's keys ascend and rank order is lex
@@ -608,7 +605,7 @@ def verify_comb(k: int, m: int, N: int, strategy: Strategy) -> WitnessReport:
         witness=SetPartition(worst_witness) if worst_witness is not None else None,
         bad_pair_count=max(worst_bad, 0),
         candidate_count=n_cands,
-        census={",".join(map(str, s)): b for s, b in worst_census.items()},
+        census=_census(ctx, worst_kills),
         ratio=Fraction(max(worst_bad, 0), n_cands),
         elapsed_ms=(time.perf_counter() - start) * 1000.0,
         details={

@@ -438,6 +438,16 @@ class TestThresholdAndCheckpoint:
         assert {r["strategy"] for r in doc["reports"]} == {"adversarial(20, seed=9)"}
         assert {r["seed"] for r in doc["reports"]} == {9}
 
+    def test_find_threshold_without_a_clean_N_exits_3(self, capsys):
+        code, out = run_cli(
+            "find-threshold", "--k", "3", "--m", "2", "--strategy", "adversarial:50:7", "--n-max", "2",
+            capsys=capsys,
+        )
+        doc = json.loads(out)
+        assert code == 3
+        assert doc["threshold"] is None and doc["empirical"] is True
+        assert [r["details"]["failures"] for r in doc["reports"]] == [50, 2]
+
     def test_chunked_campaign_checkpoints(self, tmp_path, capsys):
         out_path = tmp_path / "camp.json"
         code, _ = run_cli(
@@ -753,6 +763,41 @@ class TestEmit:
         out = tmp_path / "payload.txt"
         cli._emit(argparse.Namespace(out=str(out)), payload)
         assert out.read_bytes() == (payload if ending else payload + "\n").encode()
+
+
+    @pytest.mark.parametrize("batch", [7, cli._LINES_PER_PIECE])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_enumerate_streams_the_bytes_of_the_joined_lines(self, n, batch, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_LINES_PER_PIECE", batch)
+        joined = "\n".join(p.to_text() for p in enumerate_partitions(n)) + "\n"
+        assert run_cli("enumerate", "--n", str(n), capsys=capsys) == (0, joined)
+        out = tmp_path / "lines.txt"
+        assert run_cli("enumerate", "--n", str(n), "--out", str(out), capsys=capsys) == (0, "")
+        assert out.read_bytes() == joined.encode()
+
+    def test_an_empty_stream_is_one_newline(self, tmp_path, capsys):
+        out = tmp_path / "empty.txt"
+        for payload in ("", iter(())):
+            cli._emit(argparse.Namespace(out=None), payload)
+            assert capsys.readouterr().out == "\n"
+            cli._emit(argparse.Namespace(out=str(out)), payload)
+            assert out.read_bytes() == b"\n"
+
+    def test_a_stream_failing_at_its_start_leaves_no_file(self, tmp_path, capsys):
+        out = tmp_path / "lines.txt"
+        assert run_cli("enumerate", "--n", "0", "--out", str(out), capsys=capsys) == (2, "")
+        assert not out.exists()
+
+    def test_a_reader_that_stops_early_leaves_exit_zero(self):
+        # Q(9) is 21147 lines, far more than a pipe buffers, so the writer meets the closed pipe
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "partlab.cli", "enumerate", "--n", "9"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert [proc.stdout.readline() for _ in range(2)] == [b"0,0,0,0,0,0,0,0,0\n", b"0,0,0,0,0,0,0,0,1\n"]
+        proc.stdout.close()
+        assert proc.wait() == 0
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
 
 
 class TestConsoleScript:

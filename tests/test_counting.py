@@ -33,6 +33,40 @@ def coarsening_test(s):
     return get if s.n > 1 else lambda rgs: (get(rgs),)  # one index gives a bare item
 
 
+# input checks: (call, exception, its exact message)
+INPUT_CHECKS = {
+    "profile of unequal block and split counts": (
+        lambda: CoarseningProfile(((1, 0),), ()), DomainError, "profile needs one split list per block",
+    ),
+    "profile with an empty split list": (
+        lambda: CoarseningProfile(((1, 0),), ((),)), DomainError, "each block needs at least one sub-block",
+    ),
+    "profile with a bad sub-block": (
+        lambda: CoarseningProfile(((2, 0),), (((2, 0), (0, 0)),)), DomainError, "bad sub-block data (k_ij=0, m_ij=0)",
+    ),
+    "profile_of at N = 0": (lambda: profile_of(SetPartition((0, 0)), 0, 0), DomainError, "need N >= 1"),
+    "profile_of with m out of range": (lambda: profile_of(SetPartition((0, 0)), 1, 3), DomainError, "need 0 <= m <= 2"),
+    "profile_of with h not refining t": (
+        lambda: profile_of(SetPartition((0, 1)), 1, 0, SetPartition((0, 0))), DomainError, "h must refine t",
+    ),
+    "count_extensions at N = 0": (
+        lambda: count_extensions(single_block_profile(1, 0), 1, 0, 0), DomainError, "need N >= 1",
+    ),
+    "ratio_R at N = 0": (lambda: ratio_R(1, 1, 0, 0, 0), DomainError, "need N >= 1"),
+    "comb_ratio_bound at N = 0": (
+        lambda: comb_ratio_bound(CoarseningProfile(((2, 0),), (((1, 0), (1, 0)),)), 0), DomainError, "need N >= 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(INPUT_CHECKS))
+def test_input_check_raises_its_error(case):
+    call, exc, message = INPUT_CHECKS[case]
+    with pytest.raises(exc) as info:
+        call()
+    assert str(info.value) == message
+
+
 class TestProfile:
     def test_invariant_validation(self):
         with pytest.raises(DomainError):

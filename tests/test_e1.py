@@ -59,6 +59,39 @@ class TestBinaryGrid:
         assert not BinaryGrid(((1, 1), (0, 1))).is_cs()  # overlap
 
 
+# input checks: (call, exception, its exact message)
+INPUT_CHECKS = {
+    "grid entry not a bit": (lambda: BinaryGrid(((0, 2),)), DomainError, "grid entries must be 0 or 1"),
+    "empty grid text": (lambda: BinaryGrid.from_text(" \n"), DomainError, "empty grid text"),
+    "bad grid header": (lambda: BinaryGrid.from_text("two 2\n01\n10"), DomainError, "bad grid header: 'two 2'"),
+    "grid row count": (lambda: BinaryGrid.from_text("2 2\n01"), DomainError, "header says 2 rows, found 1"),
+    "owner of the wrong length": (
+        lambda: AllocationScheme(2, (-1,), (0,), ()), DomainError, "scheme must cover a positive horizon",
+    ),
+    "empty horizon": (lambda: round_robin_alloc(0), DomainError, "need L >= 1"),
+    "unknown window mode": (
+        lambda: e1_window_equiv(BinaryGrid(((1,),)), BinaryGrid(((1,),)), "both"),
+        DomainError, "mode must be 'fixed' or 'tail', got 'both'",
+    ),
+    "inflated window longer than D": (
+        lambda: blowup_inverse(PartitionPrefix((0, 1, 2)), PartitionPrefix((0, 1))),
+        InsufficientTruncationError, "inflated window of 3 exceeds the D window of 2",
+    ),
+    "D-block split by the inflated prefix": (
+        lambda: blowup_inverse(PartitionPrefix((0, 1)), PartitionPrefix((0, 0))),
+        DomainError, "block 0 of D is split by the inflated prefix",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(INPUT_CHECKS))
+def test_input_check_raises_its_error(case):
+    call, exc, message = INPUT_CHECKS[case]
+    with pytest.raises(exc) as info:
+        call()
+    assert str(info.value) == message
+
+
 class TestRoundRobinAlloc:
     def test_horizon_nine(self):
         s = round_robin_alloc(9)
@@ -153,6 +186,13 @@ class TestWindowEquiv:
             e1_window_equiv(
                 BinaryGrid(((0,),)), BinaryGrid(((0, 1),)), "fixed"
             )
+
+    @pytest.mark.parametrize("mode", ["fixed", "tail"])
+    def test_no_agreement_in_the_window(self, mode):
+        # the last rows differ, and in the tail mode every shifted pair of rows differs too
+        x = BinaryGrid(((1, 0), (0, 1)))
+        y = BinaryGrid(((1, 1), (1, 1)))
+        assert e1_window_equiv(x, y, mode) is None
 
 
 def reference_reduce_f(x, L):

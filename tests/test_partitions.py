@@ -257,6 +257,23 @@ class TestMeetRefine:
         assert meet_refine(t1, t2) == meet_refine(t2, t1)
 
 
+# input checks: (call, exception, its exact message)
+INPUT_CHECKS = {
+    "equipartition rgs of no blocks": (lambda: list(iter_equipartition_rgs(0, 2)), DomainError, "need k >= 1 and N >= 1"),
+    "meet of two sizes": (
+        lambda: meet_refine(SetPartition((0, 1)), SetPartition((0, 1, 2))), DomainError, "domain size mismatch: 2 vs 3",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(INPUT_CHECKS))
+def test_input_check_raises_its_error(case):
+    call, exc, message = INPUT_CHECKS[case]
+    with pytest.raises(exc) as info:
+        call()
+    assert str(info.value) == message
+
+
 class TestCounting:
     def test_bell_values(self):
         assert count_partitions(1) == 1

@@ -58,6 +58,43 @@ class TestPrefixBasics:
                 p.restrict(length)
 
 
+# input checks: (call, exception, its exact message)
+INPUT_CHECKS = {
+    "prefix not an rgs": (lambda: PartitionPrefix((0, 2)), DomainError, "not a restricted growth string: (0, 2)"),
+    "prefix text without header": (
+        lambda: PartitionPrefix.from_text("0,1"), DomainError, "prefix text must carry an 'L=<n>;' header: '0,1'",
+    ),
+    "trace of a short A": (
+        lambda: trace(PartitionPrefix((0, 1)), PartitionPrefix((0, 1, 2, 3)), 3),
+        InsufficientTruncationError, "trace needs A through 3 points but window has 2",
+    ),
+    "depth of s filling the window": (
+        lambda: depth(PartitionPrefix((0, 1, 2)), SetPartition((0, 1, 2))),
+        InsufficientTruncationError, "cannot decide whether 3 is a cut of a window of length 3",
+    ),
+    "cube member longer than B": (
+        lambda: cube_member(SetPartition((0, 1, 2)), PartitionPrefix((0, 1)), PartitionPrefix((0, 1))),
+        InsufficientTruncationError, "cannot check end-extension of 3 points in a window of 2",
+    ),
+    "induced coarsening by t of the wrong size": (
+        lambda: induced_coarsening_h(SetPartition((0, 1)), PartitionPrefix((0, 1, 2)), 3),
+        DomainError, "t must live on 3 points, has 2",
+    ),
+    "projection of a C short of mu_m'(B)": (
+        lambda: project_g(PartitionPrefix((0, 0)), PartitionPrefix((0, 0, 1, 2)), 2),
+        InsufficientTruncationError, "C window of length 2 does not reach mu_2(B) = 3",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(INPUT_CHECKS))
+def test_input_check_raises_its_error(case):
+    call, exc, message = INPUT_CHECKS[case]
+    with pytest.raises(exc) as info:
+        call()
+    assert str(info.value) == message
+
+
 class TestMuSequence:
     def test_discrete(self):
         assert mu_sequence(PartitionPrefix((0, 1, 2, 3))) == [0, 1, 2, 3]

@@ -25,6 +25,26 @@ def constant_table(P, value):
     return {F: value for F in enumerate_sections(P)}
 
 
+# input checks: (call, exception, its exact message)
+INPUT_CHECKS = {
+    "block partition at N = 0": (
+        lambda: BlockPartitionKN(({0},), 0), DomainError, "need N >= 1 and at least one block",
+    ),
+    "block partition of no blocks": (
+        lambda: BlockPartitionKN((), 1), DomainError, "need N >= 1 and at least one block",
+    ),
+    "section bound of no blocks": (lambda: section_bound(0, 2), DomainError, "need k >= 1 and N >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", list(INPUT_CHECKS))
+def test_input_check_raises_its_error(case):
+    call, exc, message = INPUT_CHECKS[case]
+    with pytest.raises(exc) as info:
+        call()
+    assert str(info.value) == message
+
+
 class TestBlockPartition:
     def test_validation(self):
         with pytest.raises(DomainError):

@@ -13,6 +13,7 @@ import pytest
 
 from partlab.counting import CoarseningProfile
 from partlab.e1 import AllocationScheme, BinaryGrid, round_robin_alloc
+from partlab.errors import DomainError
 from partlab.partitions import SetPartition
 from partlab.prefixes import PartitionPrefix
 from partlab.reports import WitnessReport
@@ -81,12 +82,11 @@ CASES = {
          "elapsed_ms", "details"), None, False,
     ),
     _LemmaContext: (
-        lambda: _LemmaContext(range(2), ((0,),), (0,), {0: 1}, min),
-        lambda: _LemmaContext(space=range(2), candidates=((0,),), relevant=(0,), below={0: 1}, leq=min),
-        _LemmaContext(range(1), (), (), {}, min),
-        "_LemmaContext(space=range(0, 2), candidates=((0,),), relevant=(0,), below={0: 1}, "
-        "leq=<built-in function min>)",
-        ("space", "candidates", "relevant", "below", "leq"), "identity", True,
+        lambda: _LemmaContext(range(2), ((0,),), {0: 1}, min),
+        lambda: _LemmaContext(space=range(2), candidates=((0,),), below={0: 1}, leq=min),
+        _LemmaContext(range(1), (), {}, min),
+        "_LemmaContext(space=range(0, 2), candidates=((0,),), below={0: 1}, leq=<built-in function min>)",
+        ("space", "candidates", "below", "leq"), "identity", True,
     ),
 }
 
@@ -134,6 +134,25 @@ def test_value_class_contract(cls):
 def test_values_of_different_classes_with_equal_fields_differ():
     assert SetPartition((0, 1)) != PartitionPrefix((0, 1))
     assert len({SetPartition((0, 1)), PartitionPrefix((0, 1))}) == 2
+
+
+def test_partitions_and_prefixes_share_an_rgs_base_but_not_equality():
+    assert not isinstance(PartitionPrefix((0,)), SetPartition)
+    assert not isinstance(SetPartition((0,)), PartitionPrefix)
+    assert PartitionPrefix((0, 1)) != SetPartition((0, 1))
+    assert SetPartition((0, 1)) != PartitionPrefix((0, 1))
+    for r in [(), (0,), (0, 1, 0), (0, 1, 2, 1)]:
+        assert hash(SetPartition(r)) == hash((r,))
+        assert SetPartition(r) == SetPartition(list(r))
+    assert hash(PartitionPrefix((0, 1))) == hash(((0, 1),))
+    # one constructor, block count and codec, with each class's own text
+    for cls, text in ((SetPartition, "0,1,0"), (PartitionPrefix, "L=3;0,1,0")):
+        p = cls.from_text(text)
+        assert type(p) is cls and p.rgs == (0, 1, 0) and p.num_blocks == 2 and p.to_text() == str(p) == text
+        assert cls.discrete(3).rgs == (0, 1, 2)
+        with pytest.raises(DomainError, match=r"^not a restricted growth string: \(0, 2\)$"):
+            cls((0, 2))
+    assert str(SetPartition(())) == "(empty)" and SetPartition.from_text(" ") == SetPartition(())
 
 
 def test_block_partition_ground_is_derived_not_compared():

@@ -30,6 +30,7 @@ from partlab.witness import (
     find_witness,
     fusion_conditions_hold,
     fusion_step,
+    map_stream,
     min_threshold_comb,
     partition_space,
     verify_comb,
@@ -90,6 +91,32 @@ class TestEMapTable:
         for values in ((0, 5), (-1, 0), (0, 2)):
             with pytest.raises(DomainError, match="value index out of range"):
                 EMapTable(2, values)
+
+
+# input checks: (call, exception, its exact message)
+INPUT_CHECKS = {
+    "map of the wrong length": (lambda: EMapTable(2, (0,)), DomainError, "map must be total over 2 partitions"),
+    "witness search over a map of another size": (
+        lambda: find_witness(EMapTable.identity(3), 1, 4), DomainError, "map is over 3 points, expected 4",
+    ),
+    "census of a map of another size": (
+        lambda: bad_pairs(EMapTable.identity(3), 2, 1, 2), DomainError, "map is over 3 points, expected 4",
+    ),
+    "maps of something not a strategy": (
+        lambda: map_stream("sampled", 2, 1, tuple, tuple), DomainError, "unknown strategy 'sampled'",
+    ),
+    "fusion step separating more than mprime points": (
+        lambda: fusion_step(PartitionPrefix.discrete(5), {}, 2, 1, 3), DomainError, "need n0+ell+1 <= mprime, got 4 > 3",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(INPUT_CHECKS))
+def test_input_check_raises_its_error(case):
+    call, exc, message = INPUT_CHECKS[case]
+    with pytest.raises(exc) as info:
+        call()
+    assert str(info.value) == message
 
 
 class TestStrategies:
@@ -302,7 +329,7 @@ class TestCampaignTables:
         ctx = _comb_context(*kmn)
         assert len(maps) == rep.details["tested"] > 0
         for values in maps:
-            assert sorted(values) == list(ctx.relevant)
+            assert sorted(values) == list(ctx.below)
             table = total_table(ctx, values)
             EMapTable(kmn[0] * kmn[2], table)  # the public constructor's full check
             kills, table_kills = _kill_masks(ctx, values), _kill_masks(ctx, table)
@@ -314,7 +341,7 @@ class TestCampaignTables:
 
         def corrupted(ctx, size, rng, seed, i):
             values = real(ctx, size, rng, seed, i)
-            values[ctx.relevant[-1]] = corrupt(size)
+            values[max(ctx.below)] = corrupt(size)
             return values
 
         monkeypatch.setattr(witness_module, "_sample_values", corrupted)
@@ -377,7 +404,7 @@ def oracle_census(ctx, values):
             if rgs_leq(space[values[ti]], s) and not rgs_leq(space[values[ti]], space[ti])
         )
         if bad:
-            per[s] = bad
+            per[",".join(map(str, s))] = bad
     return per
 
 
@@ -460,7 +487,7 @@ class TestLemmaKernel:
     def test_below_masks_match_coarsening_tables(self, kmn):
         ctx = context_of(kmn)
         keys = oracle_keys(ctx)
-        assert ctx.relevant == tuple(sorted(ctx.below)) == tuple(sorted(set().union(*keys)))
+        assert list(ctx.below) == sorted(ctx.below) == sorted(set().union(*keys))
         for ti, mask in ctx.below.items():
             assert mask == sum(1 << ci for ci, coar in enumerate(keys) if ti in coar)
 
@@ -489,7 +516,7 @@ def oracle_sample_values(ctx, seed, sample_index):
     """A sampled map as a fresh random.Random per map and randrange draw it, on the relevant keys."""
     rng = random.Random((seed << 32) ^ (sample_index * 0x9E3779B9 + 1))
     size = len(space_of(ctx))
-    return {ti: rng.randrange(size) for ti in ctx.relevant}
+    return {ti: rng.randrange(size) for ti in ctx.below}
 
 
 class TestSampler:
@@ -653,6 +680,14 @@ class TestMinThreshold:
             with pytest.raises(DomainError):
                 min_threshold_comb(2, 2, Sampled(5, seed=1), n_max)
 
+    def test_no_clean_N_up_to_the_bound(self):
+        # the greedy adversary leaves witness-free maps at N = 1 and N = 2 for (k, m) = (3, 2)
+        found, reports = min_threshold_comb(3, 2, Adversarial(50, seed=7), 2)
+        assert found is None
+        assert [r.params["N"] for r in reports] == [1, 2]
+        assert [r.details["failures"] for r in reports] == [50, 2]
+        assert all(r.details["empirical"] and not r.details["all_witnessed"] for r in reports)
+
     def test_any_strategy_and_campaign(self):
         calls = []
 
@@ -725,6 +760,17 @@ class TestFusionStep:
                 continue
             cond1, cond2 = fusion_conditions_hold(B, B_new, table, 0, 1)
             assert cond1 and cond2
+
+    @pytest.mark.parametrize("rgs,expect", [
+        # A coarsens B and shows mu_2(B) = 2 as a block minimum, and tr(f(A), B, 2) = (0, 1)
+        # coarsens r_2(B) = (0, 1) but not tr(A, B, 2) = (0, 0): the trace disjunction fails
+        ((0, 0, 1, 2, 3), (True, False)),
+        # mu_2(B) = 2 is not a block minimum of A, so the entry is skipped
+        ((0, 0, 0, 1, 2), (True, True)),
+    ])
+    def test_trace_disjunction_check_can_fail(self, rgs, expect):
+        B = PartitionPrefix.discrete(5)
+        assert fusion_conditions_hold(B, B, {PartitionPrefix(rgs): B}, 1, 0) == expect
 
     def test_embedded_counterexample_raises_threshold_error(self):
         # the forced failure at mprime = n0 + ell + 1 = 2 has no witness
