@@ -64,7 +64,10 @@ class PartitionPrefix(_Rgs):
         if not text.startswith("L="):
             raise DomainError(f"prefix text must carry an 'L=<n>;' header: {text!r}")
         head, _, body = text.partition(";")
-        length = int(head[2:])
+        try:
+            length = int(head[2:])
+        except ValueError:
+            raise DomainError(f"prefix text {text!r} has a non-integer length {head[2:]!r}") from None
         rgs = cls._parse(body)
         if len(rgs) != length:
             raise DomainError(f"header length {length} does not match body of {len(rgs)}")

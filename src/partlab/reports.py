@@ -39,10 +39,11 @@ def json_text(doc: Any) -> str:
     Here strings and keys still go through its C escaper, scalars follow
     its rules, and every fragment is appended to one list that is joined
     once, so no container's text is copied into its parent's.
-    Counterexample shapes repeat a few thousand distinct (t, e(t)) entries
-    many times over, and in a campaign's report every shape holding an
-    entry holds the same tuple object, so each tuple is rendered once per
-    depth, looked up by its identity, and its joined text reused.
+    Counterexample shapes share (t, e(t)) entries: the (4,4,2)
+    adversarial:200 report's 2,575 entries are 737 distinct ones.
+    In a campaign's report every shape holding an entry holds the same
+    tuple object, so each tuple is rendered once per depth, looked up by
+    its identity, and its joined text reused.
     Identity is safe because the document keeps every object alive during
     the call.  Tuple subclasses render as lists, unmemoised.
     Document keys are strings; any other key raises TypeError.

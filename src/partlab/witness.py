@@ -38,7 +38,8 @@ import random
 import time
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product
+from operator import or_
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Optional, Union
 
@@ -349,13 +350,36 @@ def _census(ctx: _LemmaContext, kills: dict[int, int]) -> dict[str, int]:
     return per
 
 
-def _blocking_shape(values, kills: dict[int, int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The entries of e that invalidate candidates, the failing map's shape.
+def _irredundant_cover(kills: dict[int, int]) -> tuple[int, ...]:
+    """The keys of an irredundant cover of kills, in ascending order.
 
-    The keys t and their values e(t), as two tuples in ascending key order:
-    kills follows ctx.below, which is built in ascending key order.
+    kills holds its keys in ascending order, as _kill_masks builds it.  The
+    entries are tried in descending key order, and one is kept when it kills
+    a candidate that neither the kept entries nor the untried ones, those of
+    smaller keys, kill.  So the kept masks still kill every candidate that
+    kills does: the entry of least key killing a candidate is kept unless a
+    kept one kills it.  And every kept entry is necessary: the candidate it
+    alone killed when kept is not killed by any entry tried after it.
     """
-    return tuple(kills), tuple(map(values.__getitem__, kills))
+    keys, masks = list(kills), list(kills.values())
+    before = list(accumulate(masks, or_, initial=0))  # before[i]: the union of the masks before position i
+    kept, covered = [], 0
+    for i in range(len(keys) - 1, -1, -1):
+        if masks[i] & ~(covered | before[i]):
+            kept.append(keys[i])
+            covered |= masks[i]
+    return tuple(reversed(kept))
+
+
+def _blocking_shape(values, kills: dict[int, int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The failing map's shape: an irredundant set of the entries of e that invalidate candidates.
+
+    The keys t that _irredundant_cover keeps and their values e(t), as two
+    tuples in ascending key order.  With every other argument mapped to
+    itself, the entries still leave no witness, and dropping any one leaves one.
+    """
+    keys = _irredundant_cover(kills)
+    return keys, tuple(map(values.__getitem__, keys))
 
 
 @lru_cache(maxsize=1024)
@@ -543,8 +567,11 @@ def verify_comb(k: int, m: int, N: int, strategy: Strategy) -> WitnessReport:
     """Test the lemma against a family of adversary maps; aggregate a report.
 
     Exit contract: details["all_witnessed"] is True iff every tested map
-    admitted a witness; counterexample shapes (the invalidating entries)
-    are collected otherwise.  Every witness is re-validated by the
+    admitted a witness; counterexample shapes are collected otherwise, one
+    per distinct shape in first-seen order.  A shape is an irredundant set
+    of the failing map's invalidating entries (see _blocking_shape): with
+    every other argument mapped to itself no candidate is a witness, and
+    dropping any one entry leaves one.  Every witness is re-validated by the
     independent scan, once per witnessed map, and the pigeonhole
     certificate (bad pairs below candidate count implies a witness) is
     checked for every map.  Every generated map is a dict from each

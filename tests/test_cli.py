@@ -283,6 +283,23 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and repr(form) in captured.err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["encode", "--p", "0,,1"], "rgs text '0,,1' is not a comma-separated list of integers"),
+            (["blowup", "--a", "L=x;0", "--d", "0,1"], "prefix text 'L=x;0' has a non-integer length 'x'"),
+            (
+                ["bad-pairs", "--k", "2", "--m", "2", "--N", "1", "--e-map", "constant:0,x"],
+                "e-map 'constant:0,x': rgs text '0,x' is not a comma-separated list of integers",
+            ),
+        ],
+        ids=["rgs", "prefix-header", "e-map"],
+    )
+    def test_malformed_partition_text_names_itself(self, argv, message, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
     @pytest.mark.parametrize("n", range(1, 10))
     def test_random_e_map_draws_as_randrange(self, n):
         size = len(partition_space(n))

@@ -78,6 +78,17 @@ class TestSetPartition:
         assert p.to_text() == "0,0,1,2,1"
         assert SetPartition.from_text("0,0,1,2,1") == p
 
+    @given(rgs_strategy(max_n=14))
+    def test_text_is_the_decimal_blocks(self, rgs):
+        p = SetPartition(rgs)
+        assert p.to_text() == ",".join(map(str, rgs))
+        assert SetPartition.from_text(p.to_text()) == p
+
+    def test_text_of_multi_digit_blocks(self):
+        # block texts are made on first use, so a later, wider partition still gets every one
+        assert SetPartition.discrete(3).to_text() == "0,1,2"
+        assert SetPartition.discrete(13).to_text() == "0,1,2,3,4,5,6,7,8,9,10,11,12"
+
     @given(rgs_strategy())
     def test_canonical_form_stability(self, rgs):
         assert relabel_canonical(rgs) == rgs

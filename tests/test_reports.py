@@ -210,7 +210,7 @@ def test_more_document_texts_are_pinned(argv, code, pinned, fields, tmp_path, mo
 BENCHMARK_DIGESTS = {
     "sampled": "d0f2f07bd9288d8ce5cd76948823cd7136eaf292c37f93a236db2f7d18682a90",
     "sampled-jobs-2": "bb2064070acf1b71f4b834755477a56b999a1c89a4158f45e19364a2dbaa1e70",
-    "adversarial": "2c3dd9c06696027cd484de59d3b8bef54af9620d2e3d9de433837e5b05f4bd20",
+    "adversarial": "8d4b7d27cfd40e12305b157ef5841ee51efee50f665ad843bb679559b6d0533b",
 }
 
 

@@ -1,6 +1,7 @@
 import random
 import re
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 
 import pytest
 
@@ -37,12 +38,12 @@ from partlab.witness import (
     witness_is_valid,
     _adversarial_values,
     _bad_count,
-    _blocking_shape,
     _census,
     _comb_context,
     _down_set,
     _fusion_context,
     _greedy_ties,
+    _irredundant_cover,
     _kill_masks,
     _lex_index,
     _partition_context,
@@ -470,8 +471,7 @@ class TestLemmaKernel:
             assert witness == oracle_witness(ctx, values)
             assert _census(ctx, kills) == per
             assert _bad_count(kills) == sum(per.values())
-            shape = _blocking_shape(values, kills)
-            assert {(ctx.space[ti], ctx.space[vi]) for ti, vi in zip(*shape)} == oracle_shape(ctx, values)
+            assert {(ctx.space[ti], ctx.space[values[ti]]) for ti in kills} == oracle_shape(ctx, values)
             verdicts.add(witness is not None)
             bad_maps += bool(kills)
         assert bad_maps and True in verdicts
@@ -582,6 +582,67 @@ class TestAdversary:
         for entry in entries:
             assert first.setdefault(entry, entry) is entry
         assert len(entries) > len(first)  # some key pair is in more than one shape
+
+
+class TestIrredundantCover:
+    """The shape reducer, checked on random kill dicts against the unions of their masks."""
+
+    def test_random_kill_dicts(self):
+        rng = random.Random(28)
+        dicts = []
+        for _ in range(400):
+            width = rng.randint(1, 16)
+            bits = rng.randint(1, width)  # few bits per mask leave much to drop, many little
+            keys = sorted(rng.sample(range(300), rng.randint(0, 40)))
+            dicts.append({key: sum(1 << b for b in rng.sample(range(width), rng.randint(1, bits))) for key in keys})
+        covers = [_irredundant_cover(kills) for kills in dicts]
+        dropped = 0
+        for kills, kept in zip(dicts, covers):
+            assert list(kept) == sorted(set(kept)) and set(kept) <= set(kills)
+            union = reduce(or_, kills.values(), 0)
+            assert reduce(or_, (kills[key] for key in kept), 0) == union
+            for key in kept:  # each kept entry is necessary
+                assert reduce(or_, (kills[other] for other in kept if other != key), 0) != union
+            dropped += len(kills) - len(kept)
+        assert dropped > 0
+        # the output depends on the input alone: equal fresh dicts, asked in another order, give the same keys
+        for kills, kept in reversed(list(zip(dicts, covers))):
+            assert _irredundant_cover({key: int(str(mask)) for key, mask in kills.items()}) == kept
+
+    def test_a_mask_killed_by_later_keys_is_dropped(self):
+        # tried from the largest key down: 9 and 5 are kept, and 2's one candidate is killed by 5
+        assert _irredundant_cover({2: 0b010, 5: 0b011, 9: 0b100}) == (5, 9)
+        # 5 is dropped: 9 is kept and 2, untried when 5 is, kills 5's other candidate
+        assert _irredundant_cover({2: 0b001, 5: 0b011, 9: 0b110}) == (2, 9)
+        assert _irredundant_cover({}) == ()
+
+
+def scanned_equipartitions(k, m, N):
+    """The comb candidates, filtered from a scan of Q^m(kN) instead of the search's enumeration."""
+    return [
+        SetPartition(rgs)
+        for rgs in iter_rgs(k * N, m)
+        if len(set(rgs)) == k and all(rgs.count(b) == N for b in range(k))
+    ]
+
+
+def test_442_adversarial_shapes_are_certified_irredundant():
+    # each shape, rebuilt with every other argument mapped to itself, leaves no candidate
+    # valid, and loses that with any one entry dropped; witness_is_valid shares no mask with the reducer
+    k, m, N = 4, 4, 2
+    rep = verify_comb(k, m, N, Adversarial(20, seed=7))
+    shapes = rep.details["counterexample_shapes"]
+    candidates = scanned_equipartitions(k, m, N)
+    assert shapes and len(candidates) == rep.candidate_count == 24
+
+    def witnessed(entries):
+        e = EMapTable.from_assignments(k * N, dict(entries))
+        return any(witness_is_valid(e, s, m) for s in candidates)
+
+    for shape in shapes:
+        assert not witnessed(shape)
+        for i in range(len(shape)):
+            assert witnessed(shape[:i] + shape[i + 1 :])
 
 
 @pytest.mark.parametrize("n", range(1, 10))
