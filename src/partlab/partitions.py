@@ -88,11 +88,11 @@ def _refuse(self, name, *value):
     raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
 
 
-def _value_class(*fields: str, frozen: bool = True, compare: bool = True):
-    """What dataclass(frozen=frozen, eq=compare) gave a class, for a class with __slots__.
+def _value_class(*fields: str):
+    """What a frozen dataclass gave a class, for a class with __slots__.
 
     repr shows `fields` (default: the slots).  eq compares their tuple within one class and
-    hash is its hash.  A frozen instance refuses assignment and pickles through the
+    hash is its hash.  An instance refuses assignment and deletion, and pickles through the
     constructor, which takes `fields`.
     """
 
@@ -110,12 +110,10 @@ def _value_class(*fields: str, frozen: bool = True, compare: bool = True):
             return NotImplemented
 
         cls.__repr__ = __repr__
-        if compare:
-            cls.__eq__ = __eq__
-            cls.__hash__ = (lambda self: hash(key(self))) if frozen else None
-        if frozen:
-            cls.__setattr__ = cls.__delattr__ = _refuse
-            cls.__reduce__ = lambda self: (cls, key(self))
+        cls.__eq__ = __eq__
+        cls.__hash__ = lambda self: hash(key(self))
+        cls.__setattr__ = cls.__delattr__ = _refuse
+        cls.__reduce__ = lambda self: (cls, key(self))
         return cls
 
     return apply

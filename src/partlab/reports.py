@@ -108,13 +108,15 @@ def json_text(doc: Any) -> str:
     return "".join(out)
 
 
-@_value_class(frozen=False)
+@_value_class()
 class WitnessReport:
     """Outcome of a lemma-verification run.
 
     For a single adversary map the census counts bad pairs per candidate;
     for a campaign over many maps the fields describe the worst map seen
-    and `details` carries the aggregate data.
+    and `details` carries the aggregate data.  Fields cannot be rebound,
+    but `census` and `details` are dicts that may be updated in place, so
+    a report has no hash.
     """
 
     __slots__ = ("params", "strategy", "seed", "witness", "bad_pair_count", "candidate_count",
@@ -124,16 +126,10 @@ class WitnessReport:
                  witness: Optional[SetPartition], bad_pair_count: int, candidate_count: int,
                  census: Optional[dict[str, int]] = None, ratio: Optional[Fraction] = None,
                  elapsed_ms: float = 0.0, details: Optional[dict[str, Any]] = None):
-        self.params = params
-        self.strategy = strategy
-        self.seed = seed
-        self.witness = witness
-        self.bad_pair_count = bad_pair_count
-        self.candidate_count = candidate_count
-        self.census = {} if census is None else census
-        self.ratio = ratio
-        self.elapsed_ms = elapsed_ms
-        self.details = {} if details is None else details
+        values = (params, strategy, seed, witness, bad_pair_count, candidate_count,
+                  {} if census is None else census, ratio, elapsed_ms, {} if details is None else details)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def to_json_dict(self) -> dict[str, Any]:
         return {

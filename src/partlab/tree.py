@@ -28,7 +28,7 @@ from typing import Iterator, Mapping, Optional
 from .errors import DomainError
 from .partitions import _value_class
 from .reports import WitnessReport
-from .witness import Strategy, _kill_masks, _lemma_context, _witness, map_stream
+from .witness import Strategy, _kill_masks, _LemmaContext, _witness, map_stream
 
 __all__ = [
     "BlockPartitionKN",
@@ -132,7 +132,7 @@ def _section_context(P: BlockPartitionKN):
     mask = _masks(P)
     sections = tuple(enumerate_sections(P))
     complete = tuple(F for F in sections if len(F) == P.k)
-    ctx = _lemma_context(range(1 << len(P.ground)), complete, lambda E: _submasks(mask(E)), _subset)
+    ctx = _LemmaContext(range(1 << len(P.ground)), complete, lambda E: _submasks(mask(E)), _subset)
     return ctx, sections, mask
 
 
@@ -173,6 +173,8 @@ def least_N_below_one(k: int) -> int:
     The bound falls as N grows, and 1 - (1 - 1/N)^k <= k/N puts it under 1
     once N > k 2^k, so the answer lies in 1..k 2^k + 1.
     """
+    if k < 1:
+        raise DomainError(f"need k >= 1, got k={k}")
     return bisect_left(range(1, (k << k) + 2), True, key=lambda N: section_bound(k, N) < 1) + 1
 
 
@@ -226,13 +228,13 @@ def verify_tree(k: int, N: int, strategy: Strategy) -> WitnessReport:
     for e in tables:
         tested += 1
         witness = find_section_witness(e, P)  # checks that e is total
-        valid = {E for E in ctx.candidates if _witness_valid(e, E)}
-        if (witness is None) != (not valid):
+        valid = [E for E in ctx.candidates if _witness_valid(e, E)]
+        if witness is not None and valid and witness not in valid:
+            raise RuntimeError("section witness failed independent re-validation")
+        if witness != (valid[0] if valid else None):  # the search returns the least witness
             raise RuntimeError("section witness search disagrees with the independent count")
         if witness is None:
             failures += 1
-        elif witness not in valid:
-            raise RuntimeError("section witness failed independent re-validation")
         bad_sections = ct - len(valid)
         if bad_sections > worst_bad_sections:
             worst_bad_sections = bad_sections

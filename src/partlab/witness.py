@@ -1,10 +1,11 @@
 """Witness search engines for the partition combinatorial lemmas.
 
-The adversary is a total map e over the partition space of a fixed
-domain; a witness is a candidate s all of whose coarsenings t satisfy
-e(t) <= t or e(t) !<= s.  The engines do exhaustive, sampled, and greedy
-adversarial campaigns, census bad pairs exactly, and run single fusion
-steps of the canonization construction.
+The adversary is a map e on the partition space of a fixed domain: total
+as an EMapTable, and defined on the relevant keys only when a campaign
+generates it (see below).  A witness is a candidate s all of whose
+coarsenings t satisfy e(t) <= t or e(t) !<= s.  The engines do
+exhaustive, sampled, and greedy adversarial campaigns, census bad pairs
+exactly, and run single fusion steps of the canonization construction.
 
 One bitmask kernel evaluates the lemma condition for three candidate
 families: the comb campaigns' equipartitions and the fusion step's
@@ -238,31 +239,29 @@ def map_stream(
 # -- shared lemma context -----------------------------------------------------
 
 
-@_value_class(compare=False)
 class _LemmaContext:
-    # hashed by identity, so _greedy_ties can cache per context
+    """The kernel's tables for one candidate family, in the family's order.
+
+    down(s) gives the keys of the elements below candidate s, and leq(vi, ti)
+    compares the elements of space at two keys.  Compared and hashed by
+    identity, so _greedy_ties can cache per context.
+    """
+
     # space: key -> its element: the relevant keys' rgs, or a range of point masks
     # below: keyed by the relevant keys, those of the t below at least one candidate, in
     # ascending order; per key v, the bitmask of the candidates s with v <= s
     # leq: the order on keys: rgs_leq of their partitions, or inclusion of point masks
     __slots__ = ("space", "candidates", "below", "leq")
 
-    def __init__(self, space: Union[Mapping, range], candidates: tuple, below: dict, leq):
-        for name, value in zip(self.__slots__, (space, candidates, below, leq)):
-            object.__setattr__(self, name, value)
-
-
-def _lemma_context(space, candidates: tuple, down: Callable, leq: Callable) -> _LemmaContext:
-    """The kernel's tables for one candidate family, in the family's order.
-
-    down(s) gives the keys of the elements below candidate s, and leq(vi, ti)
-    compares the elements of space at two keys.
-    """
-    below: dict[int, int] = {}
-    for ci, s in enumerate(candidates):
-        for ti in down(s):
-            below[ti] = below.get(ti, 0) | 1 << ci
-    return _LemmaContext(space, candidates, {ti: below[ti] for ti in sorted(below)}, leq)
+    def __init__(self, space: Union[Mapping, range], candidates: tuple, down: Callable, leq: Callable):
+        below: dict[int, int] = {}
+        for ci, s in enumerate(candidates):
+            for ti in down(s):
+                below[ti] = below.get(ti, 0) | 1 << ci
+        self.space = space
+        self.candidates = candidates
+        self.below = {ti: below[ti] for ti in sorted(below)}
+        self.leq = leq
 
 
 def _partition_context(candidates: tuple[tuple[int, ...], ...]) -> _LemmaContext:
@@ -288,7 +287,7 @@ def _partition_context(candidates: tuple[tuple[int, ...], ...]) -> _LemmaContext
             space.setdefault(key, rgs)
             yield key
 
-    return _lemma_context(space, candidates, down, leq)
+    return _LemmaContext(space, candidates, down, leq)
 
 
 @lru_cache(maxsize=16)
@@ -685,11 +684,13 @@ def min_threshold_comb(
     campaign(k, m, N, search) runs one N; a caller may pass one that
     restores and records its reports.  EMPIRICAL: the returned value
     bounds, but does not certify, the lemma's threshold; it depends on the
-    tested maps only.
+    tested maps only, so a search that tests none is a DomainError.
     """
     _check_m(m, k=k)
     if N_max < 1:
         raise DomainError(f"need N_max >= 1, got {N_max}")
+    if isinstance(search, Sampled) and search.count == 0 or isinstance(search, Adversarial) and search.budget == 0:
+        raise DomainError(f"{search.label()} tests no maps, so it can find no threshold")
     reports = []
     for N in range(1, N_max + 1):
         rep = campaign(k, m, N, search)

@@ -465,6 +465,22 @@ class TestThresholdAndCheckpoint:
         assert doc["threshold"] is None and doc["empirical"] is True
         assert [r["details"]["failures"] for r in doc["reports"]] == [50, 2]
 
+    @pytest.mark.parametrize(
+        "argv, label",
+        [
+            (["--samples", "0", "--seed", "4"], "sampled(0, seed=4)"),
+            (["--strategy", "sampled:0"], "sampled(0, seed=0)"),
+            (["--strategy", "adversarial:0:7"], "adversarial(0, seed=7)"),
+        ],
+        ids=["samples", "sampled", "adversarial"],
+    )
+    def test_find_threshold_testing_no_maps_is_usage_error(self, argv, label, tmp_path, capsys):
+        argv = ["find-threshold", "--k", "3", "--m", "2", *argv]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {label} tests no maps, so it can find no threshold\n")
+        assert main(argv + ["--out", str(tmp_path / "thr.json")]) == 2
+        assert list(tmp_path.iterdir()) == []  # nothing ran, so nothing was written
+
     def test_chunked_campaign_checkpoints(self, tmp_path, capsys):
         out_path = tmp_path / "camp.json"
         code, _ = run_cli(

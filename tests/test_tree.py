@@ -34,6 +34,8 @@ INPUT_CHECKS = {
         lambda: BlockPartitionKN((), 1), DomainError, "need N >= 1 and at least one block",
     ),
     "section bound of no blocks": (lambda: section_bound(0, 2), DomainError, "need k >= 1 and N >= 1"),
+    "least N below one at k = 0": (lambda: least_N_below_one(0), DomainError, "need k >= 1, got k=0"),
+    "least N below one at k = -1": (lambda: least_N_below_one(-1), DomainError, "need k >= 1, got k=-1"),
 }
 
 
@@ -283,6 +285,16 @@ class TestVerifyTree:
         # the worst of these maps has 5 of 9 complete sections bad, so some map mixes both
         monkeypatch.setattr("partlab.tree.find_section_witness", bad_section_beside_a_good_one)
         with pytest.raises(RuntimeError, match="section witness failed independent re-validation"):
+            verify_tree(2, 3, Sampled(300, seed=3))
+
+    def test_search_must_return_the_least_witness(self, monkeypatch):
+        def last_valid_section(e, P):
+            valid = [E for E in enumerate_sections(P) if len(E) == P.k and tree_module._witness_valid(e, E)]
+            return valid[-1] if valid else None
+
+        # some of these maps have more than one valid complete section
+        monkeypatch.setattr("partlab.tree.find_section_witness", last_valid_section)
+        with pytest.raises(RuntimeError, match="disagrees"):
             verify_tree(2, 3, Sampled(300, seed=3))
 
     @pytest.mark.parametrize(

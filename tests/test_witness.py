@@ -717,7 +717,7 @@ class TestWitnessIsValid:
             raise AssertionError("re-validation used the search's enumeration")
 
         for name in (
-            "_coarsening_rgs", "_comb_context", "_fusion_context", "_lemma_context", "iter_equipartition_rgs",
+            "_coarsening_rgs", "_comb_context", "_fusion_context", "_LemmaContext", "iter_equipartition_rgs",
             "partition_space", "iter_rgs",
         ):
             monkeypatch.setattr(witness_module, name, forbidden)
@@ -740,6 +740,15 @@ class TestMinThreshold:
         for n_max in (0, -2):
             with pytest.raises(DomainError):
                 min_threshold_comb(2, 2, Sampled(5, seed=1), n_max)
+
+    @pytest.mark.parametrize("search", [Sampled(0, seed=1), Adversarial(0, seed=7)], ids=["sampled", "adversarial"])
+    def test_a_search_that_tests_no_maps_is_a_domain_error(self, search):
+        def campaign(k, m, N, strategy):
+            raise AssertionError("a campaign ran")
+
+        # (3, 2) has witness-free maps at N = 2, so a clean campaign of no maps would claim a false threshold
+        with pytest.raises(DomainError, match=rf"^{re.escape(search.label())} tests no maps, so it can find no threshold$"):
+            min_threshold_comb(3, 2, search, 4, campaign)
 
     def test_no_clean_N_up_to_the_bound(self):
         # the greedy adversary leaves witness-free maps at N = 1 and N = 2 for (k, m) = (3, 2)
