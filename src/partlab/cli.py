@@ -58,7 +58,7 @@ CHECKPOINT_EVERY = 10_000
 
 
 def _parse_strategy(text: str, samples: int, seed: int):
-    """Strategy syntax: exhaustive[:CAP] | sampled[:COUNT[:SEED]] | adversarial[:BUDGET[:SEED]]."""
+    """Strategy syntax: exhaustive[:CAP] | sampled[:COUNT[:SEED]] | adversarial[:COUNT[:SEED]]."""
     name, *fields = text.split(":")
     if name not in ("exhaustive", "sampled", "adversarial"):
         raise DomainError(f"unknown strategy {text!r}")
@@ -188,19 +188,14 @@ def cmd_verify_comb(args) -> int:
     if args.jobs > 1 and not hasattr(os, "fork"):
         raise DomainError(f"--jobs {args.jobs} needs os.fork, which this platform lacks; use --jobs 1")
     strategy = _parse_strategy(args.strategy, args.samples, args.seed)
-    if args.jobs > 1 and not isinstance(strategy, Sampled):
-        raise DomainError(f"--jobs applies only to sampled strategies, got {args.strategy!r}")
-    if isinstance(strategy, Sampled) and strategy.count > CHECKPOINT_EVERY:
-        chunks = [
-            Sampled(min(CHECKPOINT_EVERY, strategy.count - start), strategy.seed, start)
+    if args.jobs > 1 and isinstance(strategy, Exhaustive):
+        raise DomainError(f"--jobs applies only to sampled and adversarial strategies, got {args.strategy!r}")
+    if not isinstance(strategy, Exhaustive) and strategy.count > CHECKPOINT_EVERY:
+        chunks = {
+            str(start): type(strategy)(min(CHECKPOINT_EVERY, strategy.count - start), strategy.seed, start)
             for start in range(0, strategy.count, CHECKPOINT_EVERY)
-        ]
-        parts = _restore_or_run(
-            args,
-            {str(chunk.start): chunk for chunk in chunks},
-            functools.partial(verify_comb, args.k, args.m, args.N),
-            args.jobs,
-        )
+        }
+        parts = _restore_or_run(args, chunks, functools.partial(verify_comb, args.k, args.m, args.N), args.jobs)
         # the wall time of this invocation, not the sum of the chunks' times
         report = merge_campaign(parts, strategy, (time.perf_counter() - start) * 1000.0)
     else:
@@ -462,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_count)
 
     p = subs.add_parser("verify-comb", help="witness campaign for the coarsening lemma")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes for chunked sampled campaigns")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes for chunked seeded campaigns")
     _add_common(p, "k", "m", "N", "strategy", "format")
     p.set_defaults(func=cmd_verify_comb)
 

@@ -92,8 +92,8 @@ def _value_class(*fields: str):
     """What a frozen dataclass gave a class, for a class with __slots__.
 
     repr shows `fields` (default: the slots).  eq compares their tuple within one class and
-    hash is its hash.  An instance refuses assignment and deletion, and pickles through the
-    constructor, which takes `fields`.
+    hash is its hash.  An instance refuses assignment and deletion, and pickles through its
+    class's constructor, which takes `fields`; a subclass that adds no slots shares all of this.
     """
 
     def apply(cls):
@@ -113,7 +113,7 @@ def _value_class(*fields: str):
         cls.__eq__ = __eq__
         cls.__hash__ = lambda self: hash(key(self))
         cls.__setattr__ = cls.__delattr__ = _refuse
-        cls.__reduce__ = lambda self: (cls, key(self))
+        cls.__reduce__ = lambda self: (self.__class__, key(self))
         return cls
 
     return apply

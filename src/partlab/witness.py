@@ -24,12 +24,13 @@ Every returned witness is re-validated by an independent check that
 shares no enumeration path with the search: the down-set of the witness
 is enumerated point by point, once per witness (see _down_set), and each
 member, keyed by its rank, is checked against the lemma condition.  A
-comb campaign runs this check for every witnessed map, on tables and
-partitions it built without the public constructors' full checks: a map
-a campaign generates is a dict from each relevant key to its value's key,
-the only keys the kernel and the check read, so only those values are
-range-checked.  Tables and partitions from outside a campaign are total
-and keep the full checks.
+comb campaign runs this check for every witnessed map, and on each
+candidate before the witness, which must fail it, so the witness is the
+least.  It does so on tables and partitions built without the public
+constructors' full checks: a map a campaign generates is a dict from each
+relevant key to its value's key, the only keys the kernel and the check
+read, so only those values are range-checked.  Tables and partitions from
+outside a campaign are total and keep the full checks.
 """
 
 from __future__ import annotations
@@ -182,29 +183,26 @@ class Exhaustive:
 
 
 @_value_class()
-class Sampled:
-    __slots__ = ("count", "seed", "start")  # start: the first sample index, so campaigns can be chunked
+class _Indexed:
+    """Maps start ... start+count-1 of a seeded stream; map i is a pure function of (seed, i)."""
+
+    __slots__ = ("count", "seed", "start")
 
     def __init__(self, count: int, seed: int = 0, start: int = 0):
         _init_non_negative(self, count=count, start=start)
         object.__setattr__(self, "seed", seed)
 
     def label(self) -> str:
-        if self.start:
-            return f"sampled({self.count}, seed={self.seed}, start={self.start})"
-        return f"sampled({self.count}, seed={self.seed})"
+        start = f", start={self.start}" if self.start else ""
+        return f"{type(self).__name__.lower()}({self.count}, seed={self.seed}{start})"
 
 
-@_value_class()
-class Adversarial:
-    __slots__ = ("budget", "seed")
+class Sampled(_Indexed):
+    __slots__ = ()
 
-    def __init__(self, budget: int, seed: int = 0):
-        _init_non_negative(self, budget=budget)
-        object.__setattr__(self, "seed", seed)
 
-    def label(self) -> str:
-        return f"adversarial({self.budget}, seed={self.seed})"
+class Adversarial(_Indexed):
+    __slots__ = ()
 
 
 Strategy = Union[Exhaustive, Sampled, Adversarial]
@@ -216,24 +214,24 @@ def map_stream(
     """The maps a campaign tests, and the seed its report records.
 
     Exhaustive maps give each of `slots` arguments one of `choices` values,
-    built by assign(combo), and are capped by the strategy's cap.  Sampled
-    and adversarial map i is sample(seed, i) or adversary(seed, i).  This
-    is the one place a campaign without an adversary, such as the section
-    lemma's, rejects the adversarial strategy.
+    built by assign(combo), and are capped by the strategy's cap.  An
+    indexed strategy's map i, for i in start ... start+count-1, is
+    sample(seed, i) if it is Sampled and adversary(seed, i) if it is
+    Adversarial.  This is the one place a campaign without an adversary,
+    such as the section lemma's, rejects the adversarial strategy.
     """
     if isinstance(strategy, Exhaustive):
         total = choices**slots
         if total > strategy.cap:
             raise BudgetError(f"{total} adversary maps exceed the exhaustive cap of {strategy.cap}")
         return map(assign, product(range(choices), repeat=slots)), None
-    if isinstance(strategy, Sampled):
-        indices = range(strategy.start, strategy.start + strategy.count)
-        return (sample(strategy.seed, i) for i in indices), strategy.seed
-    if isinstance(strategy, Adversarial):
-        if adversary is None:
-            raise DomainError("adversarial strategy needs an adversary; this campaign has none")
-        return (adversary(strategy.seed, i) for i in range(strategy.budget)), strategy.seed
-    raise DomainError(f"unknown strategy {strategy!r}")
+    if not isinstance(strategy, _Indexed):
+        raise DomainError(f"unknown strategy {strategy!r}")
+    draw = sample if isinstance(strategy, Sampled) else adversary
+    if draw is None:
+        raise DomainError("adversarial strategy needs an adversary; this campaign has none")
+    indices = range(strategy.start, strategy.start + strategy.count)
+    return (draw(strategy.seed, i) for i in indices), strategy.seed
 
 
 # -- shared lemma context -----------------------------------------------------
@@ -414,10 +412,13 @@ def witness_is_valid(e: EMapTable, s: SetPartition, m: int) -> bool:
     """
     if s.n != e.n:
         raise DomainError(f"candidate has {s.n} points, map is over {e.n}")
-    rgs = s.rgs
+    return _valid(e.values, s.rgs, m)
+
+
+def _valid(values, rgs: tuple[int, ...], m: int) -> bool:
+    """witness_is_valid on a map's values and a candidate's rgs of as many points."""
     if any(rgs[i] != i for i in range(min(m, len(rgs)))):
         return False
-    values = e.values
     down = _down_set(rgs)
     for key, t in down.items():
         v = down.get(values[key])
@@ -571,12 +572,13 @@ def verify_comb(k: int, m: int, N: int, strategy: Strategy) -> WitnessReport:
     of the failing map's invalidating entries (see _blocking_shape): with
     every other argument mapped to itself no candidate is a witness, and
     dropping any one entry leaves one.  Every witness is re-validated by the
-    independent scan, once per witnessed map, and the pigeonhole
-    certificate (bad pairs below candidate count implies a witness) is
-    checked for every map.  Every generated map is a dict from each
-    relevant key to its value's key.  The scan gets the map's table from
-    _campaign_table, which range-checks those values, and the witness as
-    a trusted partition, since it is one of the candidates.
+    independent scan, once per witnessed map, and is the least candidate it
+    accepts: each one before it must fail the scan (run as _valid, which no
+    wrapper of witness_is_valid sees).  The pigeonhole certificate (bad pairs
+    below candidate count implies a witness) is checked for every map.  Every
+    generated map is a dict from each relevant key to its value's key.  The
+    scan gets the map's table from _campaign_table, which range-checks those
+    values, and the witness as a trusted partition, since it is a candidate.
     """
     start = time.perf_counter()
     ctx = _comb_context(k, m, N)
@@ -614,6 +616,9 @@ def verify_comb(k: int, m: int, N: int, strategy: Strategy) -> WitnessReport:
             # through the module global, so a wrapper sees every re-validation
             if not witness_is_valid(_campaign_table(k * N, size, values), _trusted(witness), m):
                 raise RuntimeError("witness failed independent re-validation")
+            for s in ctx.candidates[: ctx.candidates.index(witness)]:  # a loop: half the cost of any()
+                if _valid(values, s, m):
+                    raise RuntimeError("a candidate before the witness passed independent re-validation")
         if bad > worst_bad:
             worst_bad = bad
             worst_kills = kills
@@ -644,8 +649,8 @@ def verify_comb(k: int, m: int, N: int, strategy: Strategy) -> WitnessReport:
     )
 
 
-def merge_campaign(parts: list[WitnessReport], strategy: Sampled, elapsed_ms: float) -> WitnessReport:
-    """The report of one sampled campaign from its chunk reports, given in chunk order.
+def merge_campaign(parts: list[WitnessReport], strategy: _Indexed, elapsed_ms: float) -> WitnessReport:
+    """The report of one sampled or adversarial campaign from its chunks' reports, given in chunk order.
 
     The worst map is the first maximum of bad_pair_count, as in one run;
     counterexample shapes keep their first-seen order without repeats, and
@@ -689,7 +694,7 @@ def min_threshold_comb(
     _check_m(m, k=k)
     if N_max < 1:
         raise DomainError(f"need N_max >= 1, got {N_max}")
-    if isinstance(search, Sampled) and search.count == 0 or isinstance(search, Adversarial) and search.budget == 0:
+    if getattr(search, "count", None) == 0:
         raise DomainError(f"{search.label()} tests no maps, so it can find no threshold")
     reports = []
     for N in range(1, N_max + 1):

@@ -178,14 +178,18 @@ class TestVerify:
         assert exc.value.code == 2
         assert "--jobs" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "strategy, code",
-        [("exhaustive", 2), ("adversarial:5:1", 2), ("sampled:1:7", 0)],
-    )
-    def test_jobs_only_with_sampled_strategy(self, strategy, code, capsys):
-        argv = ["verify-comb", "--k", "2", "--m", "2", "--N", "2", "--strategy", strategy, "--jobs", "2"]
-        assert main(argv) == code
-        assert ("--jobs" in capsys.readouterr().err) == (code == 2)
+    @pytest.mark.parametrize("strategy", ["exhaustive", "adversarial:5:1", "sampled:1:7"])
+    def test_jobs_only_with_seeded_strategy(self, strategy, capsys):
+        argv = ["verify-comb", "--k", "2", "--m", "2", "--N", "2", "--strategy", strategy]
+        one_process = main(argv)
+        capsys.readouterr()
+        code = main(argv + ["--jobs", "2"])
+        if strategy == "exhaustive":  # its maps have no index, so it cannot be chunked
+            assert code == 2
+            assert "--jobs" in capsys.readouterr().err
+        else:
+            assert code == one_process
+            assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize(
         "argv",
@@ -508,6 +512,30 @@ def _campaign_report(tmp_path, name, kmn, strategy, *extra):
     return code, report
 
 
+def _round_trip(tmp_path, monkeypatch, kmn, strategy, count):
+    """The single run of a campaign of count maps, after checking that its chunked, --jobs 2 and
+    resumed runs in chunks of 7 report the same."""
+    single = _campaign_report(tmp_path, "single.json", kmn, strategy)
+    monkeypatch.setattr("partlab.cli.CHECKPOINT_EVERY", 7)
+    runs = {
+        "chunked": _campaign_report(tmp_path, "chunked.json", kmn, strategy, "--jobs", "1"),
+        "parallel": _campaign_report(tmp_path, "parallel.json", kmn, strategy, "--jobs", "2"),
+    }
+    # drop the first and the last but one chunk from a finished run's state, then resume it
+    _campaign_report(tmp_path, "resumed.json", kmn, strategy)
+    state_path = tmp_path / "resumed.json.state"
+    state = json.loads(state_path.read_text())
+    starts = list(range(0, count, 7))
+    assert set(state["done"]) == set(map(str, starts))
+    del state["done"]["0"], state["done"][str(starts[-2])]
+    state_path.write_text(json.dumps(state))
+    runs["resumed"] = _campaign_report(tmp_path, "resumed.json", kmn, strategy)
+    runs["fully resumed"] = _campaign_report(tmp_path, "resumed.json", kmn, strategy)
+    for name, run in runs.items():
+        assert run == single, name
+    return single
+
+
 class TestCampaignRoundTrip:
     # witnessed, failing, and one whose worst bad-pair count ties across chunks
     # (chunks 0 and 14, with different witnesses), so the chunk order matters
@@ -515,25 +543,7 @@ class TestCampaignRoundTrip:
     def test_chunked_parallel_and_resumed_runs_match_single_run(
         self, tmp_path, monkeypatch, kmn, seed
     ):
-        strategy = f"sampled:40:{seed}"
-        single = _campaign_report(tmp_path, "single.json", kmn, strategy)
-        monkeypatch.setattr("partlab.cli.CHECKPOINT_EVERY", 7)
-        runs = {
-            "chunked": _campaign_report(tmp_path, "chunked.json", kmn, strategy, "--jobs", "1"),
-            "parallel": _campaign_report(tmp_path, "parallel.json", kmn, strategy, "--jobs", "2"),
-        }
-        # drop two chunks from a finished run's state, then resume it
-        _campaign_report(tmp_path, "resumed.json", kmn, strategy)
-        state_path = tmp_path / "resumed.json.state"
-        state = json.loads(state_path.read_text())
-        assert set(state["done"]) == {"0", "7", "14", "21", "28", "35"}
-        del state["done"]["0"], state["done"]["28"]
-        state_path.write_text(json.dumps(state))
-        runs["resumed"] = _campaign_report(tmp_path, "resumed.json", kmn, strategy)
-        runs["fully resumed"] = _campaign_report(tmp_path, "resumed.json", kmn, strategy)
-        for name, run in runs.items():
-            assert run == single, name
-        code, report = single
+        code, report = _round_trip(tmp_path, monkeypatch, kmn, f"sampled:40:{seed}", 40)
         details = report["details"]
         assert code == (0 if details["all_witnessed"] else 1)
         assert details["tested"] == 40
@@ -542,16 +552,29 @@ class TestCampaignRoundTrip:
         else:
             assert details["counterexample_shapes"] == [[[[0, 0], [0, 1]]]]
 
+    # one witness-free map, in the chunk of maps 7-13, which the resumed run restores; and none
+    @pytest.mark.parametrize("kmn,strategy,count,failures", [
+        ((3, 2, 2), "adversarial:40:3", 40, 1),
+        ((2, 2, 2), "adversarial:25:1", 25, 0),
+    ])
+    def test_adversarial_chunked_parallel_and_resumed_runs_match_single_run(
+        self, tmp_path, monkeypatch, kmn, strategy, count, failures
+    ):
+        code, report = _round_trip(tmp_path, monkeypatch, kmn, strategy, count)
+        assert code == (1 if failures else 0)
+        assert (report["details"]["tested"], report["details"]["failures"]) == (count, failures)
+
     @settings(max_examples=100, deadline=None)
     @given(
         kmn=st.sampled_from([(2, 2, 1), (2, 0, 2), (2, 2, 2), (3, 2, 2), (2, 1, 3)]),
+        kind=st.sampled_from(["sampled", "adversarial"]),
         seed=st.integers(0, 1000),
         count=st.integers(1, 30),
         every=st.integers(1, 12),
         dropped=st.integers(0, 2**30 - 1),
     )
-    def test_chunked_and_resumed_runs_equal_the_single_run(self, kmn, seed, count, every, dropped):
-        strategy = f"sampled:{count}:{seed}"
+    def test_chunked_and_resumed_runs_equal_the_single_run(self, kmn, kind, seed, count, every, dropped):
+        strategy = f"{kind}:{count}:{seed}"
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
             tmp_path = Path(tmp)
             single = _campaign_report(tmp_path, "single.json", kmn, strategy)
@@ -729,6 +752,14 @@ class TestCampaignRoundTrip:
         merged = merge_campaign([worst, other], Sampled(10, seed=1), 0.0)
         assert merged.details["pigeonhole_ok"] is False
 
+    def test_merged_adversarial_chunks_are_the_single_run(self):
+        from partlab.witness import merge_campaign
+
+        whole = verify_comb(3, 2, 2, Adversarial(40, seed=3))
+        parts = [verify_comb(3, 2, 2, Adversarial(count, 3, start)) for start, count in ((0, 13), (13, 27))]
+        assert [part.strategy for part in parts] == ["adversarial(13, seed=3)", "adversarial(27, seed=3, start=13)"]
+        assert merge_campaign(parts, Adversarial(40, seed=3), whole.elapsed_ms) == whole
+
     def test_merged_report_has_the_invocation_wall_time(self, monkeypatch, capsys):
         from partlab import cli
         from partlab.reports import WitnessReport
@@ -750,7 +781,7 @@ class TestCampaignRoundTrip:
         monkeypatch.setattr("partlab.cli.CHECKPOINT_EVERY", 7)
         _campaign_report(tmp_path, "camp.json", (2, 2, 2), "sampled:20:1")
         (tmp_path / "camp.json").unlink()
-        for strategy in ("sampled:20:2", "sampled:21:1"):
+        for strategy in ("sampled:20:2", "sampled:21:1", "adversarial:20:1"):
             code = main([
                 "verify-comb", "--k", "2", "--m", "2", "--N", "2",
                 "--strategy", strategy, "--out", str(tmp_path / "camp.json"),

@@ -72,8 +72,8 @@ CASES = {
         ("count", "seed", "start"), "fields",
     ),
     Adversarial: (
-        lambda: Adversarial(3, 0), lambda: Adversarial(budget=3), Adversarial(3, 1), "Adversarial(budget=3, seed=0)",
-        ("budget", "seed"), "fields",
+        lambda: Adversarial(3, 0, 0), lambda: Adversarial(count=3), Adversarial(3, 0, 1),
+        "Adversarial(count=3, seed=0, start=0)", ("count", "seed", "start"), "fields",
     ),
     WitnessReport: (
         lambda: _report(census={}, ratio=None, elapsed_ms=0.0, details={}), _report, _report(**FULL_REPORT),

@@ -126,6 +126,7 @@ class TestStrategies:
         lambda: Sampled(3, seed=1, start=-2),
         lambda: Adversarial(-1),
         lambda: Exhaustive(cap=-1),
+        lambda: Adversarial(3, start=-1),
     ])
     def test_negative_counts_rejected(self, make):
         with pytest.raises(DomainError, match=">= 0"):
@@ -284,6 +285,17 @@ class TestVerifyComb:
         monkeypatch.setattr(witness_module, "witness_is_valid", lambda e, s, m: False)
         with pytest.raises(RuntimeError, match="witness failed independent re-validation"):
             verify_comb(3, 2, 2, Sampled(5, seed=7))  # every sampled (3, 2, 2) map has a witness
+
+    def test_witness_must_be_the_least_valid_candidate(self, monkeypatch):
+        def last_free(ctx, kills):
+            killed = reduce(or_, kills.values(), 0)
+            free = [s for ci, s in enumerate(ctx.candidates) if not killed >> ci & 1]
+            return free[-1] if free else None
+
+        # some of these maps have more than one witness
+        monkeypatch.setattr(witness_module, "_witness", last_free)
+        with pytest.raises(RuntimeError, match="a candidate before the witness passed independent re-validation"):
+            verify_comb(3, 2, 2, Sampled(300, seed=3))
 
     def test_adversarial_first_map_is_deterministic_greedy(self):
         a = verify_comb(2, 2, 2, Adversarial(1, seed=0))
