@@ -20,17 +20,14 @@ in Q(n), computed arithmetically, so a partition family's context holds
 only its relevant partitions, ordered by rgs_leq asked once per pair of
 keys.  The section family's keys are point masks, ordered by inclusion.
 
-Every returned witness is re-validated by an independent check that
-shares no enumeration path with the search: the down-set of the witness
-is enumerated point by point, once per witness (see _down_set), and each
-member, keyed by its rank, is checked against the lemma condition.  A
-comb campaign runs this check for every witnessed map, and on each
-candidate before the witness, which must fail it, so the witness is the
-least.  It does so on tables and partitions built without the public
-constructors' full checks: a map a campaign generates is a dict from each
-relevant key to its value's key, the only keys the kernel and the check
-read, so only those values are range-checked.  Tables and partitions from
-outside a campaign are total and keep the full checks.
+The kernel's verdict on a map of a partition family, a witness or none,
+is trusted only once _checked_witness has confirmed it with a scan that
+shares no enumeration path with the search (see _down_set).  A comb
+campaign's maps reach that scan as tables built without the public
+constructor's full checks: a map a campaign generates is a dict from each
+relevant key to its value's key, the only keys the kernel and the scan
+read, so only those values are range-checked.  Tables from outside a
+campaign are total and keep the full checks.
 """
 
 from __future__ import annotations
@@ -427,32 +424,49 @@ def _valid(values, rgs: tuple[int, ...], m: int) -> bool:
     return True
 
 
+def _checked_witness(ctx: _LemmaContext, e: EMapTable, m: int, kills: dict) -> Optional[SetPartition]:
+    """The kernel's witness for e, as a trusted partition, or None, once the independent scan agrees.
+
+    The witness must pass witness_is_valid, called through the module global
+    so a wrapper sees one re-validation per witnessed map.  Every candidate
+    before it, or every candidate when there is none, must fail the same
+    scan, run as _valid.  Any disagreement is a RuntimeError.
+    """
+    witness = _witness(ctx, kills)
+    end = len(ctx.candidates)
+    if witness is not None:
+        witness = _trusted(witness)
+        if not witness_is_valid(e, witness, m):
+            raise RuntimeError("witness failed independent re-validation")
+        end = ctx.candidates.index(witness.rgs)
+    for s in ctx.candidates[:end]:  # a loop: half the cost of any()
+        if _valid(e.values, s, m):
+            if witness is None:
+                raise RuntimeError("search and independent recheck disagree on witness absence")
+            raise RuntimeError("a candidate before the witness passed independent re-validation")
+    return witness
+
+
 # -- public operations --------------------------------------------------------
 
 
 def find_witness(e: EMapTable, m: int, mprime: int) -> Optional[SetPartition]:
-    """Least s separating the first m points with the lemma property, or None."""
+    """Least s separating the first m points with the lemma property, or None; checked by _checked_witness."""
     if e.n != mprime:
         raise DomainError(f"map is over {e.n} points, expected {mprime}")
     ctx = _fusion_context(m, mprime)
-    witness = _witness(ctx, _kill_masks(ctx, e.values))
-    return SetPartition(witness) if witness is not None else None
+    return _checked_witness(ctx, e, m, _kill_masks(ctx, e.values))
 
 
 def bad_pairs(e: EMapTable, k: int, m: int, N: int) -> WitnessReport:
-    """Exact census of the bad pairs (s, t) of a single adversary map; its witness is re-validated."""
+    """Exact census of the bad pairs (s, t) of one adversary map; _checked_witness checks its verdict."""
     start = time.perf_counter()
     ctx = _comb_context(k, m, N)
     if e.n != k * N:
         raise DomainError(f"map is over {e.n} points, expected {k * N}")
     kills = _kill_masks(ctx, e.values)
     total = _bad_count(kills)
-    witness = _witness(ctx, kills)
-    if witness is not None:
-        witness = _trusted(witness)
-        # through the module global, so a wrapper sees every re-validation
-        if not witness_is_valid(e, witness, m):
-            raise RuntimeError("witness failed independent re-validation")
+    witness = _checked_witness(ctx, e, m, kills)
     pair_count = len(ctx.candidates) * count_partitions(k)
     return WitnessReport(
         params={"k": k, "m": m, "N": N},
@@ -571,14 +585,11 @@ def verify_comb(k: int, m: int, N: int, strategy: Strategy) -> WitnessReport:
     per distinct shape in first-seen order.  A shape is an irredundant set
     of the failing map's invalidating entries (see _blocking_shape): with
     every other argument mapped to itself no candidate is a witness, and
-    dropping any one entry leaves one.  Every witness is re-validated by the
-    independent scan, once per witnessed map, and is the least candidate it
-    accepts: each one before it must fail the scan (run as _valid, which no
-    wrapper of witness_is_valid sees).  The pigeonhole certificate (bad pairs
-    below candidate count implies a witness) is checked for every map.  Every
-    generated map is a dict from each relevant key to its value's key.  The
-    scan gets the map's table from _campaign_table, which range-checks those
-    values, and the witness as a trusted partition, since it is a candidate.
+    dropping any one entry leaves one.  Every map's verdict is checked by
+    _checked_witness.  The pigeonhole certificate (bad pairs below candidate
+    count implies a witness) is checked for every map.  Every generated map
+    is a dict from each relevant key to its value's key, made a table by
+    _campaign_table, which range-checks those values.
     """
     start = time.perf_counter()
     ctx = _comb_context(k, m, N)
@@ -600,25 +611,18 @@ def verify_comb(k: int, m: int, N: int, strategy: Strategy) -> WitnessReport:
     shapes: dict[tuple[tuple[int, ...], tuple[int, ...]], None] = {}  # insertion-ordered set
     worst_bad = -1
     worst_kills: dict[int, int] = {}
-    worst_witness: Optional[tuple[int, ...]] = None
+    worst_witness: Optional[SetPartition] = None
     pigeonhole_ok = True
     for values in stream:
         tested += 1
         kills = _kill_masks(ctx, values)
-        witness = _witness(ctx, kills)
+        witness = _checked_witness(ctx, _campaign_table(k * N, size, values), m, kills)
         bad = _bad_count(kills)
         if witness is None:
             failures += 1
             shapes[_blocking_shape(values, kills)] = None
             if bad < n_cands:
                 pigeonhole_ok = False  # would contradict the counting chain
-        else:
-            # through the module global, so a wrapper sees every re-validation
-            if not witness_is_valid(_campaign_table(k * N, size, values), _trusted(witness), m):
-                raise RuntimeError("witness failed independent re-validation")
-            for s in ctx.candidates[: ctx.candidates.index(witness)]:  # a loop: half the cost of any()
-                if _valid(values, s, m):
-                    raise RuntimeError("a candidate before the witness passed independent re-validation")
         if bad > worst_bad:
             worst_bad = bad
             worst_kills = kills
@@ -633,7 +637,7 @@ def verify_comb(k: int, m: int, N: int, strategy: Strategy) -> WitnessReport:
         params={"k": k, "m": m, "N": N},
         strategy=strategy.label(),
         seed=seed,
-        witness=SetPartition(worst_witness) if worst_witness is not None else None,
+        witness=worst_witness,
         bad_pair_count=max(worst_bad, 0),
         candidate_count=n_cands,
         census=_census(ctx, worst_kills),
@@ -722,11 +726,12 @@ def fusion_step(
     """One inductive step of the canonization construction.
 
     Builds the induced adversary e = project o f o coarsen over Q(mprime),
-    finds a witness separating the first n0+ell+1 points, and returns the
-    coarsening of B the witness induces.  Only the first step condition,
-    that the approximation is kept, is verified before returning; the trace
-    disjunction is left to fusion_conditions_hold.  An unmapped table
-    argument is a hard error.
+    finds a witness separating the first n0+ell+1 points by find_witness,
+    whose verdict _checked_witness checks, and returns the coarsening of B
+    the witness induces; no witness is a ThresholdError.  Only the first
+    step condition, that the approximation is kept, is verified before
+    returning; the trace disjunction is left to fusion_conditions_hold.  An
+    unmapped table argument is a hard error.
     """
     m = n0 + ell + 1
     if m > mprime:
@@ -745,12 +750,7 @@ def fusion_step(
     )
     witness = find_witness(e, m, mprime)
     if witness is None:
-        # recheck every candidate with the independent validator, not the kernel
-        if any(witness_is_valid(e, SetPartition(s), m) for s in iter_rgs(mprime, m)):
-            raise RuntimeError("search and independent recheck disagree on witness absence")
         raise ThresholdError(f"no witness in Q^{m}({mprime}); enlarge mprime")
-    if not witness_is_valid(e, witness, m):
-        raise RuntimeError("witness failed independent re-validation")
     B_new = induced_coarsening_h(witness, B, mprime)
     if approx_r(B_new, n0 + ell) != approx_r(B, n0 + ell):
         raise RuntimeError("fusion step did not preserve the required approximation")

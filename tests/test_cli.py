@@ -429,6 +429,12 @@ class TestSmallCommands:
         doc = json.loads(out)
         assert doc["approximation_kept"] and doc["trace_disjunction"]
 
+    def test_fusion_demo_without_a_witness(self, capsys):
+        # the induced map of this seed leaves Q^3(4) witness-free, which the independent scan confirms
+        assert main(["fusion-demo", "--L", "10", "--n0", "2", "--Mprime", "4", "--seed", "2"]) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: no witness in Q^3(4); enlarge mprime\n")
+
 
 class TestThresholdAndCheckpoint:
     def test_find_threshold_with_state_file(self, tmp_path, capsys):

@@ -304,6 +304,21 @@ class TestVerifyComb:
         assert a.ratio == b.ratio
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: verify_comb(3, 2, 2, Sampled(300, seed=3)),  # every one of these maps has a witness
+        lambda: bad_pairs(EMapTable.identity(4), 2, 2, 2),
+        lambda: find_witness(EMapTable.identity(2), 2, 2),
+    ],
+    ids=["verify_comb", "bad_pairs", "find_witness"],
+)
+def test_a_witness_free_verdict_must_pass_the_independent_scan(monkeypatch, call):
+    monkeypatch.setattr(witness_module, "_witness", lambda ctx, kills: None)
+    with pytest.raises(RuntimeError, match="search and independent recheck disagree on witness absence"):
+        call()
+
+
 # (k, m, N) and strategy per generator: assign (exhaustive), sampler, adversary
 GENERATED_CAMPAIGNS = [
     *[(kmn, Exhaustive()) for kmn in [(1, 0, 1), (2, 2, 1), (1, 0, 3)]],
@@ -360,6 +375,21 @@ class TestCampaignTables:
         monkeypatch.setattr(witness_module, "_sample_values", corrupted)
         with pytest.raises(DomainError, match="value index out of range"):
             verify_comb(3, 2, 2, Sampled(5, seed=1))
+
+    def test_corrupt_adversary_on_a_witness_free_map_is_caught(self, monkeypatch):
+        real = witness_module._adversarial_values
+
+        def corrupted(ctx, rng, seed, i):
+            values = real(ctx, rng, seed, i)
+            values[max(ctx.below)] = -1
+            return values
+
+        ctx = _comb_context(4, 4, 2)
+        # witness-free, so the range check must not wait for a witness to re-validate
+        assert _witness(ctx, _kill_masks(ctx, corrupted(ctx, random.Random(), 7, 1))) is None
+        monkeypatch.setattr(witness_module, "_adversarial_values", corrupted)
+        with pytest.raises(DomainError, match="value index out of range"):
+            verify_comb(4, 4, 2, Adversarial(1, seed=7, start=1))
 
     @pytest.mark.parametrize("kmn,strategy", GENERATED_CAMPAIGNS)
     def test_every_witnessed_map_is_revalidated_once(self, monkeypatch, kmn, strategy):
@@ -814,7 +844,7 @@ class TestFusionStep:
         B = PartitionPrefix.discrete(8)
         table = random_f_table(B, 4, seed=0)
         assert fusion_step(B, table, 0, 1, 4) is not None  # this table has a witness
-        monkeypatch.setattr(witness_module, "find_witness", lambda e, m, mprime: None)
+        monkeypatch.setattr(witness_module, "_witness", lambda ctx, kills: None)
         with pytest.raises(RuntimeError, match="disagree on witness absence"):
             fusion_step(B, table, 0, 1, 4)
 
