@@ -25,6 +25,7 @@ _EXPORTS = {
     ),
     "errors": (
         "BudgetError",
+        "CheckError",
         "DomainError",
         "InsufficientTruncationError",
         "NotACutError",

@@ -1,7 +1,8 @@
 """Command-line front door for the partition laboratory.
 
 Exit codes: 0 verified/pass, 1 counterexample found, 2 usage error,
-3 budget or threshold error.  Counterexamples are successes of the tool
+3 budget or threshold error, 4 an independent re-check disagreed with a
+search (a fault in the lab).  Counterexamples are successes of the tool
 but exit nonzero so scripts can branch on them.  Every JSON report
 embeds the full run configuration, and identical configurations produce
 identical reports up to the elapsed-time field.
@@ -21,7 +22,7 @@ import time
 
 from .counting import entropy_bounds, ratio_R
 from .e1 import BinaryGrid, blowup_iso, cs_decode, cs_encode, reduce_f
-from .errors import BudgetError, DomainError, PartlabError, ThresholdError
+from .errors import BudgetError, CheckError, DomainError, PartlabError, ThresholdError
 from .partitions import (
     SetPartition,
     count_equipartitions,
@@ -53,6 +54,7 @@ EXIT_PASS = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_CHECK = 4
 
 CHECKPOINT_EVERY = 10_000
 
@@ -212,8 +214,9 @@ def _restore_or_run(args, tasks: dict, run, jobs: int = 1) -> list[WitnessReport
     min(jobs, pending) forked workers when that is at least 2 and in this
     process otherwise, and each report is recorded as it arrives, so an
     interrupted run resumes where it stopped.  The state file is bound to the
-    run's configuration: one recorded for another configuration is a usage
-    error, so a report is never assembled from another run's results.
+    run's configuration: one recorded for another configuration, or one whose
+    reports do not read back, is a usage error raised before any task runs,
+    so a report is never assembled from another run's results.
     """
     config = {k: v for k, v in _config_dict(args).items() if k not in ("out", "format", "jobs")}
     config["checkpoint_every"] = CHECKPOINT_EVERY
@@ -229,6 +232,14 @@ def _restore_or_run(args, tasks: dict, run, jobs: int = 1) -> list[WitnessReport
             )
         state = saved
     done = state["done"]
+    try:  # every restored report must read back before any chunk runs
+        for doc in done.values():
+            WitnessReport.from_json_dict(doc)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DomainError(
+            f"{state_path} is a malformed checkpoint ({type(exc).__name__}: {exc});"
+            " remove it or choose another --out"
+        ) from None
     pending = {key: task for key, task in tasks.items() if key not in done}
 
     def record(key, doc):
@@ -529,6 +540,9 @@ def main(argv=None) -> int:
     except (BudgetError, ThresholdError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except CheckError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK
     except (PartlabError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -116,10 +116,7 @@ def count_extensions(profile: CoarseningProfile, k: int, N: int, m: int) -> int:
     den = math.factorial(N - 1) ** m * math.factorial(N) ** (k - m)
     for ki, mi in profile.blocks:
         num *= math.factorial(ki * N - mi) // math.factorial(ki - mi)
-    q, r = divmod(num, den)
-    if r:
-        raise DomainError("extension count is not an integer; inconsistent profile")
-    return q
+    return num // den  # exact: the product of each block's count_equipartitions(k_i, N, m_i)
 
 
 def _pow2_entropy_exact(a: int, b: int) -> Fraction:
@@ -142,19 +139,18 @@ def entropy_bounds(a: int, b: int) -> tuple[Fraction, int, Fraction]:
 def ratio_R(a1: int, a2: int, b1: int, b2: int, N: int) -> Fraction:
     """Exact value of the factorial-combination ratio at a given N.
 
-    ((a1 N - b1)!/(a1 - b1)!) ((a2 N - b2)!/(a2 - b2)!)
-    (((a1+a2)-(b1+b2))! / ((a1+a2) N - (b1+b2))!).
+    With a = a1 + a2 and b = b1 + b2, the paper's form
+    ((a1 N - b1)!/(a1 - b1)!) ((a2 N - b2)!/(a2 - b2)!) ((a - b)!/(a N - b)!)
+    equals C(a - b, a1 - b1) / C(a N - b, a1 N - b1), the fraction of the
+    (a, N, b) equipartitions that refine a fixed (a1, b1) | (a2, b2) split.
     """
     for a, b in ((a1, b1), (a2, b2)):
         if a < 1 or not 0 <= b <= a:
             raise DomainError(f"need 0 <= b <= a and a >= 1, got a={a}, b={b}")
     if N < 1:
         raise DomainError("need N >= 1")
-    f = math.factorial
-    return Fraction(
-        f(a1 * N - b1) * f(a2 * N - b2) * f((a1 + a2) - (b1 + b2)),
-        f(a1 - b1) * f(a2 - b2) * f((a1 + a2) * N - (b1 + b2)),
-    )
+    a, b = a1 + a2, b1 + b2
+    return Fraction(math.comb(a - b, a1 - b1), math.comb(a * N - b, a1 * N - b1))
 
 
 class CombRatioBound(NamedTuple):
@@ -172,7 +168,8 @@ def comb_ratio_bound(profile: CoarseningProfile, N: int) -> CombRatioBound:
     """Bound on the fraction of candidates above a strictly split block.
 
     Exact form: product over blocks with k_{i,1} < k_i of
-    C(k_i - m_i, k_{i,1} - m_{i,1}) / C(k_i N - m_i, k_{i,1} N - m_{i,1}).
+    ratio_R(k_{i,1}, k_i - k_{i,1}, m_{i,1}, m_i - m_{i,1}, N)
+    = C(k_i - m_i, k_{i,1} - m_{i,1}) / C(k_i N - m_i, k_{i,1} N - m_{i,1}).
     The entropy-relaxed product is returned as a float diagnostic only.
     """
     if N < 1:
@@ -185,7 +182,7 @@ def comb_ratio_bound(profile: CoarseningProfile, N: int) -> CombRatioBound:
         if ki1 >= ki:
             continue
         split_seen = True
-        exact *= Fraction(math.comb(ki - mi, ki1 - mi1), math.comb(ki * N - mi, ki1 * N - mi1))
+        exact *= ratio_R(ki1, ki - ki1, mi1, mi - mi1, N)
         small = ki - mi
         big = ki * N - mi
         h_small = _binary_entropy((ki1 - mi1) / small) if small else 0.0

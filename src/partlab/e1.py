@@ -183,9 +183,7 @@ def e1_window_equiv(x: BinaryGrid, y: BinaryGrid, mode: str):
             ((nx + ny, nx, ny) for nx in range(x.R) for ny in range(y.R)),
         )
         for _, nx, ny in pairs:
-            span = x.R - max(nx, ny)
-            if span < 1:
-                continue
+            span = x.R - max(nx, ny)  # >= 1: nx and ny are both below R
             if x.bits[nx : nx + span] == y.bits[ny : ny + span]:
                 return (nx, ny)
         return None

@@ -29,3 +29,7 @@ class BudgetError(PartlabError):
 
 class ThresholdError(PartlabError):
     """No witness exists at the given scale; the caller should enlarge it."""
+
+
+class CheckError(PartlabError, RuntimeError):
+    """A re-check disagrees with the search it checks: a fault in the lab, not a counterexample."""

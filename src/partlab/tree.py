@@ -25,7 +25,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterator, Mapping, Optional
 
-from .errors import DomainError
+from .errors import CheckError, DomainError
 from .partitions import _value_class
 from .reports import WitnessReport
 from .witness import Strategy, _kill_masks, _LemmaContext, _witness, map_stream
@@ -230,9 +230,9 @@ def verify_tree(k: int, N: int, strategy: Strategy) -> WitnessReport:
         witness = find_section_witness(e, P)  # checks that e is total
         valid = [E for E in ctx.candidates if _witness_valid(e, E)]
         if witness is not None and valid and witness not in valid:
-            raise RuntimeError("section witness failed independent re-validation")
+            raise CheckError("section witness failed independent re-validation")
         if witness != (valid[0] if valid else None):  # the search returns the least witness
-            raise RuntimeError("section witness search disagrees with the independent count")
+            raise CheckError("section witness search disagrees with the independent count")
         if witness is None:
             failures += 1
         bad_sections = ct - len(valid)

@@ -42,7 +42,7 @@ from operator import or_
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Optional, Union
 
-from .errors import BudgetError, DomainError, ThresholdError
+from .errors import BudgetError, CheckError, DomainError, ThresholdError
 from .partitions import (
     SetPartition,
     _check_m,
@@ -405,17 +405,16 @@ def witness_is_valid(e: EMapTable, s: SetPartition, m: int) -> bool:
     search: the down-set of s is enumerated point by point, once per s,
     and the lemma condition is checked pair by pair, with e(t) <= s read
     as membership of e(t)'s key in that down-set and e(t) <= t asked of
-    rgs_leq.
+    rgs_leq.  It alone also asks that s separate the first m points: every
+    candidate the search scans is enumerated with that prefix fixed.
     """
     if s.n != e.n:
         raise DomainError(f"candidate has {s.n} points, map is over {e.n}")
-    return _valid(e.values, s.rgs, m)
+    return all(s.rgs[i] == i for i in range(min(m, s.n))) and _valid(e.values, s.rgs)
 
 
-def _valid(values, rgs: tuple[int, ...], m: int) -> bool:
-    """witness_is_valid on a map's values and a candidate's rgs of as many points."""
-    if any(rgs[i] != i for i in range(min(m, len(rgs)))):
-        return False
+def _valid(values, rgs: tuple[int, ...]) -> bool:
+    """No bad pair below rgs: the down-set scan of witness_is_valid, without its m-prefix rule."""
     down = _down_set(rgs)
     for key, t in down.items():
         v = down.get(values[key])
@@ -429,21 +428,21 @@ def _checked_witness(ctx: _LemmaContext, e: EMapTable, m: int, kills: dict) -> O
 
     The witness must pass witness_is_valid, called through the module global
     so a wrapper sees one re-validation per witnessed map.  Every candidate
-    before it, or every candidate when there is none, must fail the same
-    scan, run as _valid.  Any disagreement is a RuntimeError.
+    before it, or every candidate when there is none, must show _valid a bad
+    pair; it is already m-separated.  Any disagreement is a CheckError.
     """
     witness = _witness(ctx, kills)
     end = len(ctx.candidates)
     if witness is not None:
         witness = _trusted(witness)
         if not witness_is_valid(e, witness, m):
-            raise RuntimeError("witness failed independent re-validation")
+            raise CheckError("witness failed independent re-validation")
         end = ctx.candidates.index(witness.rgs)
     for s in ctx.candidates[:end]:  # a loop: half the cost of any()
-        if _valid(e.values, s, m):
+        if _valid(e.values, s):
             if witness is None:
-                raise RuntimeError("search and independent recheck disagree on witness absence")
-            raise RuntimeError("a candidate before the witness passed independent re-validation")
+                raise CheckError("search and independent recheck disagree on witness absence")
+            raise CheckError("a candidate before the witness passed independent re-validation")
     return witness
 
 
@@ -753,7 +752,7 @@ def fusion_step(
         raise ThresholdError(f"no witness in Q^{m}({mprime}); enlarge mprime")
     B_new = induced_coarsening_h(witness, B, mprime)
     if approx_r(B_new, n0 + ell) != approx_r(B, n0 + ell):
-        raise RuntimeError("fusion step did not preserve the required approximation")
+        raise CheckError("fusion step did not preserve the required approximation")
     return B_new
 
 

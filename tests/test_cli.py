@@ -22,7 +22,7 @@ from partlab.witness import Adversarial, Sampled, _comb_context, partition_space
 # the package's public names by the module that defines them, as partlab.__all__ exports them
 PUBLIC_API = {
     "counting": "CoarseningProfile CombRatioBound comb_ratio_bound count_extensions entropy_bounds profile_of ratio_R",
-    "errors": "BudgetError DomainError InsufficientTruncationError NotACutError PartlabError ThresholdError",
+    "errors": "BudgetError CheckError DomainError InsufficientTruncationError NotACutError PartlabError ThresholdError",
     "e1": "AllocationScheme BinaryGrid blowup_inverse blowup_iso cs_decode cs_encode e1_window_equiv reduce_f "
     "round_robin_alloc",
     "partitions": "SetPartition coarsenings_of count_equipartitions count_partitions enumerate_equipartitions "
@@ -822,6 +822,54 @@ class TestCampaignRoundTrip:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("shape", ["an empty report", "a list for done"])
+    @pytest.mark.parametrize("command", ["verify-comb", "find-threshold"])
+    def test_malformed_state_is_usage_error_before_any_chunk(self, command, shape, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("partlab.cli.CHECKPOINT_EVERY", 7)
+        out_path = tmp_path / "run.json"
+        if command == "verify-comb":
+            argv = ["verify-comb", "--k", "2", "--m", "2", "--N", "2", "--strategy", "sampled:20:1"]
+        else:
+            argv = ["find-threshold", "--k", "2", "--m", "2", "--samples", "50", "--seed", "1", "--n-max", "3"]
+        argv += ["--out", str(out_path)]
+        assert main(argv) == 0
+        out_path.unlink()
+        state_path = tmp_path / "run.json.state"
+        state = json.loads(state_path.read_text())
+        if shape == "an empty report":
+            state["done"][list(state["done"])[-1]] = {}
+        else:
+            state["done"] = []
+        state_path.write_text(json.dumps(state))
+        written = state_path.read_text()
+        capsys.readouterr()
+
+        def no_chunk_runs(*args):
+            raise AssertionError("a chunk ran")
+
+        monkeypatch.setattr("partlab.cli.verify_comb", no_chunk_runs)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {state_path} is a malformed checkpoint (")
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["run.json.state"]
+        assert state_path.read_text() == written
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_a_failed_independent_check_exits_4(self, jobs, monkeypatch, capsys):
+        from partlab import witness
+
+        monkeypatch.setattr(witness, "_witness", lambda ctx, kills: None)  # forked workers inherit it
+        if jobs == "2":
+            monkeypatch.setattr("partlab.cli.CHECKPOINT_EVERY", 2)  # three chunks
+        argv = ["verify-comb", "--k", "3", "--m", "2", "--N", "2", "--strategy", "sampled:5:7", "--jobs", jobs]
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: search and independent recheck disagree on witness absence\n"
+        with pytest.raises(ChildProcessError):  # every worker was reaped
+            os.waitpid(-1, os.WNOHANG)
+
 
 class TestEmit:
     @pytest.mark.parametrize("extra", [0, 12345])
@@ -942,7 +990,7 @@ class TestConsoleScript:
         import partlab
 
         assert sorted(partlab.__all__) == sorted(name for names in PUBLIC_API.values() for name in names.split())
-        assert len(partlab.__all__) == len(set(partlab.__all__)) == 56
+        assert len(partlab.__all__) == len(set(partlab.__all__)) == 57
         for module, names in PUBLIC_API.items():
             owner = importlib.import_module(f"partlab.{module}")
             for name in names.split():

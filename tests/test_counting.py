@@ -173,6 +173,10 @@ class TestCombRatioBound:
     def make_split_profile(self, N=2):
         return CoarseningProfile(blocks=((2, 0),), splits=(((1, 0), (1, 0)),))
 
+    # coverage of _binary_entropy at p = 0: the first sub-block holds only distinguished points;
+    # profile_of((0,0,0,0), N=2, m=1, h=(0,0,1,1)), exact bound 1/C(2N-1, N-1)
+    distinguished_split = CoarseningProfile(((2, 1),), (((1, 1), (1, 0)),))
+
     def test_known_values(self):
         assert comb_ratio_bound(self.make_split_profile(), 2).exact == Fraction(1, 3)
         assert comb_ratio_bound(self.make_split_profile(), 4).exact == Fraction(1, 35)
@@ -182,18 +186,25 @@ class TestCombRatioBound:
             comb_ratio_bound(single_block_profile(2, 0), 2)
 
     def test_diagnostic_dominates_exact(self):
+        for profile in (self.make_split_profile(), self.distinguished_split):
+            for N in range(2, 8):
+                bound = comb_ratio_bound(profile, N)
+                assert float(bound.exact) <= bound.entropy_diag * (1 + 1e-12)
         for N in range(2, 8):
-            bound = comb_ratio_bound(self.make_split_profile(), N)
-            assert float(bound.exact) <= bound.entropy_diag * (1 + 1e-12)
+            assert comb_ratio_bound(self.distinguished_split, N).exact == Fraction(1, comb(2 * N - 1, N - 1))
 
     def test_bound_actually_bounds_the_bad_fraction(self):
         # fraction of candidates refining the split shape never exceeds the bound
-        k, N, m = 2, 2, 0
+        k, N = 2, 2
         t = SetPartition((0, 0, 0, 0))
-        h = SetPartition((0, 1, 0, 1))
-        profile = profile_of(t, N, m, h)
-        candidates = list(enumerate_equipartitions(k, N, m))
-        above_h = sum(1 for s in candidates if is_coarsening(h, s))
-        above_t = sum(1 for s in candidates if is_coarsening(t, s))
-        bound = comb_ratio_bound(profile, N).exact
-        assert Fraction(above_h, above_t) <= bound
+        cases = [(0, SetPartition((0, 1, 0, 1)), None), (1, SetPartition((0, 0, 1, 1)), Fraction(1, 3))]
+        for m, h, exact in cases:
+            profile = profile_of(t, N, m, h)
+            candidates = list(enumerate_equipartitions(k, N, m))
+            above_h = sum(1 for s in candidates if is_coarsening(h, s))
+            above_t = sum(1 for s in candidates if is_coarsening(t, s))
+            bound = comb_ratio_bound(profile, N).exact
+            assert Fraction(above_h, above_t) <= bound
+            if exact is not None:  # the distinguished split: the bound is the true fraction here
+                assert profile == self.distinguished_split
+                assert Fraction(above_h, above_t) == bound == exact

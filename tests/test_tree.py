@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from partlab import tree as tree_module
-from partlab.errors import BudgetError, DomainError
+from partlab.errors import BudgetError, CheckError, DomainError
 from partlab.tree import (
     BlockPartitionKN,
     enumerate_sections,
@@ -266,7 +266,7 @@ class TestVerifyTree:
     )
     def test_search_must_agree_with_the_independent_count(self, monkeypatch, k, N, strategy, found):
         monkeypatch.setattr("partlab.tree.find_section_witness", lambda e, P: found)
-        with pytest.raises(RuntimeError, match="disagrees"):
+        with pytest.raises(CheckError, match="disagrees"):
             verify_tree(k, N, strategy)
 
     def test_witness_must_pass_re_validation(self, monkeypatch):
@@ -284,7 +284,7 @@ class TestVerifyTree:
 
         # the worst of these maps has 5 of 9 complete sections bad, so some map mixes both
         monkeypatch.setattr("partlab.tree.find_section_witness", bad_section_beside_a_good_one)
-        with pytest.raises(RuntimeError, match="section witness failed independent re-validation"):
+        with pytest.raises(CheckError, match="section witness failed independent re-validation"):
             verify_tree(2, 3, Sampled(300, seed=3))
 
     def test_search_must_return_the_least_witness(self, monkeypatch):
@@ -294,7 +294,7 @@ class TestVerifyTree:
 
         # some of these maps have more than one valid complete section
         monkeypatch.setattr("partlab.tree.find_section_witness", last_valid_section)
-        with pytest.raises(RuntimeError, match="disagrees"):
+        with pytest.raises(CheckError, match="disagrees"):
             verify_tree(2, 3, Sampled(300, seed=3))
 
     @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ from operator import or_
 import pytest
 
 from partlab import witness as witness_module
-from partlab.errors import DomainError, ThresholdError
+from partlab.errors import CheckError, DomainError, ThresholdError
 from partlab.partitions import (
     SetPartition,
     coarsenings_of,
@@ -174,7 +174,7 @@ class TestBadPairs:
 
     def test_reported_witness_must_pass_re_validation(self, monkeypatch):
         monkeypatch.setattr(witness_module, "witness_is_valid", lambda e, s, m: False)
-        with pytest.raises(RuntimeError, match="witness failed independent re-validation"):
+        with pytest.raises(CheckError, match="witness failed independent re-validation"):
             bad_pairs(EMapTable.identity(4), 2, 2, 2)
 
 
@@ -283,7 +283,7 @@ class TestVerifyComb:
 
     def test_witness_must_pass_re_validation(self, monkeypatch):
         monkeypatch.setattr(witness_module, "witness_is_valid", lambda e, s, m: False)
-        with pytest.raises(RuntimeError, match="witness failed independent re-validation"):
+        with pytest.raises(CheckError, match="witness failed independent re-validation"):
             verify_comb(3, 2, 2, Sampled(5, seed=7))  # every sampled (3, 2, 2) map has a witness
 
     def test_witness_must_be_the_least_valid_candidate(self, monkeypatch):
@@ -294,7 +294,7 @@ class TestVerifyComb:
 
         # some of these maps have more than one witness
         monkeypatch.setattr(witness_module, "_witness", last_free)
-        with pytest.raises(RuntimeError, match="a candidate before the witness passed independent re-validation"):
+        with pytest.raises(CheckError, match="a candidate before the witness passed independent re-validation"):
             verify_comb(3, 2, 2, Sampled(300, seed=3))
 
     def test_adversarial_first_map_is_deterministic_greedy(self):
@@ -315,7 +315,7 @@ class TestVerifyComb:
 )
 def test_a_witness_free_verdict_must_pass_the_independent_scan(monkeypatch, call):
     monkeypatch.setattr(witness_module, "_witness", lambda ctx, kills: None)
-    with pytest.raises(RuntimeError, match="search and independent recheck disagree on witness absence"):
+    with pytest.raises(CheckError, match="search and independent recheck disagree on witness absence"):
         call()
 
 
@@ -845,14 +845,14 @@ class TestFusionStep:
         table = random_f_table(B, 4, seed=0)
         assert fusion_step(B, table, 0, 1, 4) is not None  # this table has a witness
         monkeypatch.setattr(witness_module, "_witness", lambda ctx, kills: None)
-        with pytest.raises(RuntimeError, match="disagree on witness absence"):
+        with pytest.raises(CheckError, match="disagree on witness absence"):
             fusion_step(B, table, 0, 1, 4)
 
     def test_witness_must_pass_re_validation(self, monkeypatch):
         B = PartitionPrefix.discrete(8)
         table = random_f_table(B, 4, seed=0)  # has a witness, as above
         monkeypatch.setattr(witness_module, "witness_is_valid", lambda e, s, m: False)
-        with pytest.raises(RuntimeError, match="witness failed independent re-validation"):
+        with pytest.raises(CheckError, match="witness failed independent re-validation"):
             fusion_step(B, table, 0, 1, 4)
 
     def test_approximation_preserved(self):
