@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .errors import DomainError
-from .partitions import SetPartition, _value_class, is_coarsening
+from .partitions import SetPartition, _value_class, count_equipartitions, is_coarsening
 
 __all__ = [
     "CoarseningProfile",
@@ -52,10 +52,6 @@ class CoarseningProfile:
                     raise DomainError(f"bad sub-block data (k_ij={kij}, m_ij={mij})")
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "splits", splits)
-
-    @property
-    def u(self) -> int:
-        return len(self.blocks)
 
     @property
     def k(self) -> int:
@@ -112,16 +108,7 @@ def count_extensions(profile: CoarseningProfile, k: int, N: int, m: int) -> int:
         raise DomainError(
             f"profile totals (k={profile.k}, m={profile.m}) do not match ({k}, {m})"
         )
-    num = 1
-    den = math.factorial(N - 1) ** m * math.factorial(N) ** (k - m)
-    for ki, mi in profile.blocks:
-        num *= math.factorial(ki * N - mi) // math.factorial(ki - mi)
-    return num // den  # exact: the product of each block's count_equipartitions(k_i, N, m_i)
-
-
-def _pow2_entropy_exact(a: int, b: int) -> Fraction:
-    """2^(b H(a/b)) as the exact rational b^b / (a^a (b-a)^(b-a)); 0^0 = 1."""
-    return Fraction(b**b, a**a * (b - a) ** (b - a))
+    return math.prod(count_equipartitions(ki, N, mi) for ki, mi in profile.blocks)
 
 
 def entropy_bounds(a: int, b: int) -> tuple[Fraction, int, Fraction]:
@@ -132,7 +119,8 @@ def entropy_bounds(a: int, b: int) -> tuple[Fraction, int, Fraction]:
     """
     if b < 1 or not 0 <= a <= b:
         raise DomainError(f"need 0 <= a <= b and b >= 1, got a={a}, b={b}")
-    power = _pow2_entropy_exact(a, b)
+    # 2^(b H(a/b)) as the exact rational b^b / (a^a (b-a)^(b-a)); 0^0 = 1
+    power = Fraction(b**b, a**a * (b - a) ** (b - a))
     return power / (b + 1), math.comb(b, a), power
 
 

@@ -283,7 +283,7 @@ def enumerate_partitions(n: int, m: int = 0) -> Iterator[SetPartition]:
 
 
 def iter_equipartition_rgs(k: int, N: int, m: int = 0) -> Iterator[tuple[int, ...]]:
-    """All rgs of k*N points with k blocks of N points each, first m separated."""
+    """All rgs of k*N points with k blocks of N points each, first m separated; checks its arguments when called."""
     if k < 1 or N < 1:
         raise DomainError("need k >= 1 and N >= 1")
     _check_m(m, k=k)
@@ -303,7 +303,7 @@ def iter_equipartition_rgs(k: int, N: int, m: int = 0) -> Iterator[tuple[int, ..
                 yield from rec(i + 1, used + (j == used))
                 counts[j] -= 1
 
-    yield from rec(0, 0)
+    return rec(0, 0)
 
 
 def enumerate_equipartitions(k: int, N: int, m: int = 0) -> Iterator[SetPartition]:

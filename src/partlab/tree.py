@@ -25,7 +25,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterator, Mapping, Optional
 
-from .errors import CheckError, DomainError
+from .errors import BudgetError, CheckError, DomainError
 from .partitions import _value_class
 from .reports import WitnessReport
 from .witness import Strategy, _kill_masks, _LemmaContext, _witness, map_stream
@@ -121,14 +121,21 @@ def _subset(v: int, t: int) -> bool:
     return v & ~t == 0
 
 
+# bits of a section context's masks, sections x complete sections: about 125 MB
+_SECTION_CAP = 10**9
+
+
 @lru_cache(maxsize=16)
 def _section_context(P: BlockPartitionKN):
     """The kernel's tables for P, its sections in enumerate_sections order, and its mask function.
 
     Keys are point masks, so the space is the identity on every mask of the
     ground.  The candidates are the complete sections, and below[F] is the
-    mask of those that contain F.
+    mask of those that contain F.  Masks past _SECTION_CAP bits are a
+    BudgetError, raised before any section is made.
     """
+    if P.section_count() * P.complete_section_count() > _SECTION_CAP:
+        raise BudgetError(f"section context of {len(P.ground)} points in {P.k} blocks is too large to tabulate")
     mask = _masks(P)
     sections = tuple(enumerate_sections(P))
     complete = tuple(F for F in sections if len(F) == P.k)

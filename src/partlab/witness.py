@@ -288,9 +288,9 @@ def _partition_context(candidates: tuple[tuple[int, ...], ...]) -> _LemmaContext
 @lru_cache(maxsize=16)
 def _comb_context(k: int, m: int, N: int) -> _LemmaContext:
     """The comb campaigns' candidates: equipartitions of kN points separating the first m."""
-    candidates = tuple(iter_equipartition_rgs(k, N, m))
-    _space_size(k * N)  # bounds the context; no table over Q(kN) is built
-    return _partition_context(candidates)
+    candidates = iter_equipartition_rgs(k, N, m)  # checks k, N and m; enumerates nothing yet
+    _space_size(k * N)  # bounds the context before any candidate is made; no table over Q(kN) is built
+    return _partition_context(tuple(candidates))
 
 
 @lru_cache(maxsize=16)
@@ -363,17 +363,6 @@ def _irredundant_cover(kills: dict[int, int]) -> tuple[int, ...]:
             kept.append(keys[i])
             covered |= masks[i]
     return tuple(reversed(kept))
-
-
-def _blocking_shape(values, kills: dict[int, int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The failing map's shape: an irredundant set of the entries of e that invalidate candidates.
-
-    The keys t that _irredundant_cover keeps and their values e(t), as two
-    tuples in ascending key order.  With every other argument mapped to
-    itself, the entries still leave no witness, and dropping any one leaves one.
-    """
-    keys = _irredundant_cover(kills)
-    return keys, tuple(map(values.__getitem__, keys))
 
 
 @lru_cache(maxsize=1024)
@@ -460,9 +449,9 @@ def find_witness(e: EMapTable, m: int, mprime: int) -> Optional[SetPartition]:
 def bad_pairs(e: EMapTable, k: int, m: int, N: int) -> WitnessReport:
     """Exact census of the bad pairs (s, t) of one adversary map; _checked_witness checks its verdict."""
     start = time.perf_counter()
-    ctx = _comb_context(k, m, N)
     if e.n != k * N:
         raise DomainError(f"map is over {e.n} points, expected {k * N}")
+    ctx = _comb_context(k, m, N)
     kills = _kill_masks(ctx, e.values)
     total = _bad_count(kills)
     witness = _checked_witness(ctx, e, m, kills)
@@ -532,7 +521,7 @@ def _adversarial_values(
 ) -> dict[int, int]:
     """Greedy adversary: per relevant argument, a maximally invalidating value.
 
-    Map 0 is the pure greedy with lexicographic-least tie-break; later
+    Map 0 is the pure greedy, each tie's first value, its least key; later
     maps break argmax ties with a seeded PRNG so the budget probes
     different corners of the tie set.  Each map reseeds rng from (seed,
     index) and draws each tie as Random.choice does, getrandbits of the
@@ -545,7 +534,7 @@ def _adversarial_values(
     values = dict(zip(ctx.below, ctx.below))
     if map_index == 0:
         for ti, ties in _greedy_ties(ctx):
-            values[ti] = min(ties)
+            values[ti] = ties[0]
         return values
     rng.seed((seed << 32) ^ (map_index * 0x85EBCA6B + 3))
     getrandbits = rng.getrandbits
@@ -581,14 +570,14 @@ def verify_comb(k: int, m: int, N: int, strategy: Strategy) -> WitnessReport:
 
     Exit contract: details["all_witnessed"] is True iff every tested map
     admitted a witness; counterexample shapes are collected otherwise, one
-    per distinct shape in first-seen order.  A shape is an irredundant set
-    of the failing map's invalidating entries (see _blocking_shape): with
-    every other argument mapped to itself no candidate is a witness, and
-    dropping any one entry leaves one.  Every map's verdict is checked by
-    _checked_witness.  The pigeonhole certificate (bad pairs below candidate
-    count implies a witness) is checked for every map.  Every generated map
-    is a dict from each relevant key to its value's key, made a table by
-    _campaign_table, which range-checks those values.
+    per distinct shape in first-seen order.  A shape is the keys t of
+    _irredundant_cover(kills) and their values e(t), two tuples in key
+    order: with every other argument mapped to itself no candidate is a
+    witness, and dropping any one entry leaves one.  Every map's verdict is
+    checked by _checked_witness.  The pigeonhole certificate (bad pairs
+    below candidate count implies a witness) is checked for every map.
+    Every generated map is a dict from each relevant key to its value's
+    key, made a table by _campaign_table, which range-checks those values.
     """
     start = time.perf_counter()
     ctx = _comb_context(k, m, N)
@@ -619,7 +608,8 @@ def verify_comb(k: int, m: int, N: int, strategy: Strategy) -> WitnessReport:
         bad = _bad_count(kills)
         if witness is None:
             failures += 1
-            shapes[_blocking_shape(values, kills)] = None
+            keys = _irredundant_cover(kills)
+            shapes[keys, tuple(map(values.__getitem__, keys))] = None
             if bad < n_cands:
                 pigeonhole_ok = False  # would contradict the counting chain
         if bad > worst_bad:

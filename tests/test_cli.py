@@ -906,14 +906,27 @@ class TestEmit:
         assert run_cli("enumerate", "--n", "0", "--out", str(out), capsys=capsys) == (2, "")
         assert not out.exists()
 
-    def test_a_reader_that_stops_early_leaves_exit_zero(self):
-        # Q(9) is 21147 lines, far more than a pipe buffers, so the writer meets the closed pipe
+    @pytest.mark.parametrize(
+        "argv, first_lines, verdict",
+        [
+            # Q(9) is 21147 lines, far more than a pipe buffers, so the writer meets the closed pipe
+            (["enumerate", "--n", "9"], [b"0,0,0,0,0,0,0,0,0\n", b"0,0,0,0,0,0,0,0,1\n"], 0),
+            # the (4,4,2) report is about 0.9 MB, and the campaign finds witness-free maps
+            (
+                ["verify-comb", "--k", "4", "--m", "4", "--N", "2", "--strategy", "adversarial:200:7"],
+                [b"{\n", b'  "config": {\n'],
+                1,
+            ),
+        ],
+        ids=["enumerate", "verify-comb"],
+    )
+    def test_a_reader_that_stops_early_keeps_the_exit_code(self, argv, first_lines, verdict):
         proc = subprocess.Popen(
-            [sys.executable, "-m", "partlab.cli", "enumerate", "--n", "9"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            [sys.executable, "-m", "partlab.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         )
-        assert [proc.stdout.readline() for _ in range(2)] == [b"0,0,0,0,0,0,0,0,0\n", b"0,0,0,0,0,0,0,0,1\n"]
+        assert [proc.stdout.readline() for _ in first_lines] == first_lines
         proc.stdout.close()
-        assert proc.wait() == 0
+        assert proc.wait() == verdict
         assert proc.stderr.read() == b""
         proc.stderr.close()
 

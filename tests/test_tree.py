@@ -237,6 +237,21 @@ class TestVerifyTree:
         with pytest.raises(BudgetError):
             verify_tree(2, 4, Exhaustive(cap=10))
 
+    def test_size_wall_before_any_section_is_made(self, monkeypatch):
+        def enumerated(P):
+            raise AssertionError("sections were enumerated")
+
+        monkeypatch.setattr(tree_module, "enumerate_sections", enumerated)
+        with pytest.raises(BudgetError, match="section context of 49 points in 7 blocks is too large"):
+            verify_tree(7, 7, Sampled(1))
+
+    def test_size_wall_admits_six_by_five_and_refuses_six_by_six(self):
+        def mask_bits(k, N):
+            P = equal_block_partition(k, N)
+            return P.section_count() * P.complete_section_count()
+
+        assert mask_bits(6, 5) <= tree_module._SECTION_CAP < mask_bits(6, 6)
+
     @pytest.mark.parametrize(
         "bound, respected",
         [(Fraction(1, 2), False), (Fraction(5, 9), True), (Fraction(1), True), (Fraction(3, 2), True)],

@@ -6,7 +6,7 @@ from operator import or_
 import pytest
 
 from partlab import witness as witness_module
-from partlab.errors import CheckError, DomainError, ThresholdError
+from partlab.errors import BudgetError, CheckError, DomainError, ThresholdError
 from partlab.partitions import (
     SetPartition,
     coarsenings_of,
@@ -102,6 +102,9 @@ INPUT_CHECKS = {
     ),
     "census of a map of another size": (
         lambda: bad_pairs(EMapTable.identity(3), 2, 1, 2), DomainError, "map is over 3 points, expected 4",
+    ),
+    "census of a map of another size, checked before the size wall": (
+        lambda: bad_pairs(EMapTable.identity(4), 2, 2, 6), DomainError, "map is over 4 points, expected 12",
     ),
     "maps of something not a strategy": (
         lambda: map_stream("sampled", 2, 1, tuple, tuple), DomainError, "unknown strategy 'sampled'",
@@ -249,6 +252,15 @@ class TestFindWitness:
 
 
 class TestVerifyComb:
+    def test_size_wall_fires_before_any_candidate_is_made(self, monkeypatch):
+        def enumerated(*args):
+            raise AssertionError("a candidate was enumerated")
+            yield  # an iterator, as iter_equipartition_rgs returns: the error comes with the first candidate
+
+        monkeypatch.setattr(witness_module, "iter_equipartition_rgs", enumerated)
+        with pytest.raises(BudgetError, match="partition space of 16 points is too large"):
+            verify_comb(4, 0, 4, Sampled(1))
+
     def test_tiny_exhaustive_counterexample(self):
         rep = verify_comb(2, 2, 1, Exhaustive())
         assert not rep.details["all_witnessed"]
