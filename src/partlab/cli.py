@@ -29,6 +29,7 @@ from .partitions import (
     count_partitions,
     enumerate_equipartitions,
     enumerate_partitions,
+    iter_equipartition_rgs,
 )
 from .prefixes import PartitionPrefix, induced_coarsening_h
 from .reports import WitnessReport, json_text
@@ -338,6 +339,7 @@ def _build_emap(text: str, n: int) -> EMapTable:
 
 
 def cmd_bad_pairs(args) -> int:
+    iter_equipartition_rgs(args.k, args.N, args.m)  # checks k, N and m before the map is built; enumerates nothing
     e = _build_emap(args.e_map, args.k * args.N)
     report = bad_pairs(e, args.k, args.m, args.N)
     _emit_report(args, report)

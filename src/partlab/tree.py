@@ -28,7 +28,7 @@ from typing import Iterator, Mapping, Optional
 from .errors import BudgetError, CheckError, DomainError
 from .partitions import _value_class
 from .reports import WitnessReport
-from .witness import Strategy, _kill_masks, _LemmaContext, _witness, map_stream
+from .witness import Strategy, _adversarial_values, _kill_masks, _LemmaContext, _witness, map_stream
 
 __all__ = [
     "BlockPartitionKN",
@@ -101,8 +101,11 @@ def _masks(P: BlockPartitionKN):
 
     def mask(points) -> int:
         out = 0
-        for p in points:
-            out |= bit[p]
+        try:
+            for p in points:
+                out |= bit[p]
+        except KeyError:
+            raise DomainError(f"point {p!r} is not in the ground set") from None
         return out
 
     return mask
@@ -152,8 +155,8 @@ def _check_table(e: Mapping[frozenset, frozenset], P: BlockPartitionKN) -> None:
 def find_section_witness(e: Mapping[frozenset, frozenset], P: BlockPartitionKN) -> Optional[frozenset]:
     """Least complete section all of whose subsets satisfy the condition under the total map e."""
     _check_table(e, P)
-    ctx, _, mask = _section_context(P)
-    return _witness(ctx, _kill_masks(ctx, {mask(F): mask(v) for F, v in e.items()}))
+    ctx, sections, mask = _section_context(P)
+    return _witness(ctx, _kill_masks(ctx, {mask(F): mask(e[F]) for F in sections}))
 
 
 def _witness_valid(table, E: frozenset) -> bool:
@@ -206,14 +209,10 @@ def _random_table(P: BlockPartitionKN, seed: int, sample_index: int) -> dict[fro
 
 
 def verify_tree(k: int, N: int, strategy: Strategy) -> WitnessReport:
-    """Campaign against the equal-block (k, N)-partition; aggregate report.
-
-    Exhaustive and sampled strategies only: there is no greedy adversary
-    for section maps.
-    """
+    """Campaign against the equal-block (k, N)-partition; aggregate report."""
     start = time.perf_counter()
     P = equal_block_partition(k, N)
-    ctx, sections, _ = _section_context(P)
+    ctx, sections, mask = _section_context(P)
     ct = P.complete_section_count()
     bound = section_bound(k, N)
     ground = sorted(P.ground)
@@ -224,8 +223,11 @@ def verify_tree(k: int, N: int, strategy: Strategy) -> WitnessReport:
             for F, r in zip(sections, combo)
         }
 
+    keys = [mask(F) for F in sections]
+    rng = random.Random()  # reseeded for every adversarial map
     tables, seed = map_stream(
-        strategy, 1 << len(ground), len(sections), assign, lambda seed, i: _random_table(P, seed, i)
+        strategy, 1 << len(ground), len(sections), assign, lambda seed, i: _random_table(P, seed, i),
+        lambda seed, i: assign(map(_adversarial_values(ctx, rng, seed, i).__getitem__, keys)),
     )
 
     tested = 0

@@ -85,16 +85,16 @@ __all__ = [
     "partition_space",
 ]
 
-_SPACE_CAP = 500_000
+# |Q(10)| = 115,975 <= 500,000 < |Q(11)| = 678,570: tables over Q(n) stop at 10 points
+_SPACE_POINTS = 10
 
 
 @lru_cache(maxsize=None)
 def _space_size(n: int) -> int:
-    """|Q(n)|, for a table or tuple over all of Q(n); BudgetError where that is too large."""
-    size = count_partitions(n)
-    if size > _SPACE_CAP:
+    """|Q(n)|, for a table or tuple over all of Q(n); BudgetError past _SPACE_POINTS, before counting."""
+    if n > _SPACE_POINTS:
         raise BudgetError(f"partition space of {n} points is too large to materialize")
-    return size
+    return count_partitions(n)
 
 
 @lru_cache(maxsize=32)
@@ -206,7 +206,7 @@ Strategy = Union[Exhaustive, Sampled, Adversarial]
 
 
 def map_stream(
-    strategy: Strategy, choices: int, slots: int, assign: Callable, sample: Callable, adversary=None
+    strategy: Strategy, choices: int, slots: int, assign: Callable, sample: Callable, adversary: Callable
 ) -> tuple[Iterator, Optional[int]]:
     """The maps a campaign tests, and the seed its report records.
 
@@ -214,8 +214,7 @@ def map_stream(
     built by assign(combo), and are capped by the strategy's cap.  An
     indexed strategy's map i, for i in start ... start+count-1, is
     sample(seed, i) if it is Sampled and adversary(seed, i) if it is
-    Adversarial.  This is the one place a campaign without an adversary,
-    such as the section lemma's, rejects the adversarial strategy.
+    Adversarial.
     """
     if isinstance(strategy, Exhaustive):
         total = choices**slots
@@ -225,8 +224,6 @@ def map_stream(
     if not isinstance(strategy, _Indexed):
         raise DomainError(f"unknown strategy {strategy!r}")
     draw = sample if isinstance(strategy, Sampled) else adversary
-    if draw is None:
-        raise DomainError("adversarial strategy needs an adversary; this campaign has none")
     indices = range(strategy.start, strategy.start + strategy.count)
     return (draw(strategy.seed, i) for i in indices), strategy.seed
 
@@ -527,9 +524,8 @@ def _adversarial_values(
     index) and draws each tie as Random.choice does, getrandbits of the
     tie count's bit length until the draw is below the count, so a tie
     of one value still consumes its draw.  A relevant argument without a
-    tie keeps e(t) = t; in a comb context every candidate is one, since no
-    value invalidates it.  Results are a lower bound on adversarial
-    difficulty.
+    tie keeps e(t) = t; every candidate is one, since no value
+    invalidates it.  Results are a lower bound on adversarial difficulty.
     """
     values = dict(zip(ctx.below, ctx.below))
     if map_index == 0:

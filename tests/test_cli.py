@@ -267,10 +267,21 @@ class TestVerify:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", "error: partition space of 12 points is too large to materialize\n")
 
-    def test_tree_rejects_adversarial_strategy(self, capsys):
-        code = main(["verify-tree", "--k", "2", "--N", "2", "--strategy", "adversarial:5:1"])
-        assert code == 2
-        assert "adversarial strategy needs an adversary; this campaign has none" in capsys.readouterr().err
+    # the greedy adversary leaves 34 of 200 section maps at (3, 3) witness-free, and none at (2, 3)
+    @pytest.mark.parametrize("k, N, failures, code", [(3, 3, 34, 1), (2, 3, 0, 0)])
+    def test_tree_adversarial_strategy(self, k, N, failures, code, capsys):
+        argv = ["verify-tree", "--k", str(k), "--N", str(N), "--strategy", "adversarial:200:7"]
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["report"]["details"]["failures"] == failures
+
+    # bad-pairs checks the campaign's sizes before it builds the map over kN points
+    @pytest.mark.parametrize("argv", [["--k", "0", "--m", "0", "--N", "2"], ["--k", "2", "--m", "0", "--N", "0"]])
+    def test_bad_pairs_checks_k_and_N_before_the_map(self, argv, capsys):
+        assert main(["bad-pairs", *argv]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: need k >= 1 and N >= 1\n")
 
     def test_unknown_strategy_is_usage_error(self, capsys):
         assert main(["verify-comb", "--k", "2", "--m", "2", "--N", "1", "--strategy", "greedy"]) == 2

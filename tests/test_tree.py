@@ -18,7 +18,7 @@ from partlab.tree import (
     witness_via_equal_blocks,
 )
 from partlab.tree import _masks, _random_table, _section_context
-from partlab.witness import Exhaustive, Sampled
+from partlab.witness import Adversarial, Exhaustive, Sampled
 
 
 def constant_table(P, value):
@@ -129,6 +129,18 @@ class TestFindSectionWitness:
         table = {frozenset(): frozenset()}
         with pytest.raises(DomainError):
             find_section_witness(table, P)
+
+    def test_value_outside_the_ground_is_domain_error(self):
+        P = equal_block_partition(2, 2)
+        with pytest.raises(DomainError, match="^point 99 is not in the ground set$"):
+            find_section_witness(constant_table(P, frozenset({99})), P)
+
+    def test_keys_beyond_the_sections_are_ignored(self):
+        P = equal_block_partition(2, 2)
+        table = constant_table(P, frozenset())
+        table[frozenset({99})] = frozenset({99})
+        table[frozenset({0, 1})] = frozenset({0, 1, 2, 3})  # not a section: both points in one block
+        assert find_section_witness(table, P) == frozenset({0, 2})
 
 
 # -- the lemma condition by a per-map submask walk: an oracle for the kernel --
@@ -321,6 +333,26 @@ class TestVerifyTree:
         monkeypatch.setattr(tree_module, "_witness_valid", lambda e, E: calls.append(E) or real(e, E))
         rep = verify_tree(k, N, strategy)
         assert len(calls) == rep.details["tested"] * rep.candidate_count
+
+    # the greedy adversary's witness-free maps of 200, each certified by the set-based count
+    @pytest.mark.parametrize("k, N, failures", [(3, 3, 34), (4, 3, 173), (2, 3, 0)])
+    def test_adversarial_campaign(self, k, N, failures):
+        rep = verify_tree(k, N, Adversarial(200, seed=7))
+        assert rep.strategy == "adversarial(200, seed=7)"
+        assert (rep.details["tested"], rep.details["failures"]) == (200, failures)
+        assert rep.details["all_witnessed"] is (failures == 0)
+
+    def test_adversarial_chunks_add_up_to_the_whole_campaign(self):
+        whole = verify_tree(3, 3, Adversarial(200, seed=7))
+        parts = [verify_tree(3, 3, Adversarial(100, seed=7, start=start)) for start in (0, 100)]
+        assert sum(p.details["failures"] for p in parts) == whole.details["failures"]
+        assert max(p.bad_pair_count for p in parts) == whole.bad_pair_count
+
+    def test_adversarial_verdicts_must_agree_with_the_independent_count(self, monkeypatch):
+        # the campaign has witnessed maps, so a kernel that finds none is caught
+        monkeypatch.setattr(tree_module, "_witness", lambda ctx, kills: None)
+        with pytest.raises(CheckError, match="disagrees"):
+            verify_tree(3, 3, Adversarial(200, seed=7))
 
     def test_deterministic_given_seed(self):
         a = verify_tree(2, 3, Sampled(30, seed=5))

@@ -107,7 +107,7 @@ INPUT_CHECKS = {
         lambda: bad_pairs(EMapTable.identity(4), 2, 2, 6), DomainError, "map is over 4 points, expected 12",
     ),
     "maps of something not a strategy": (
-        lambda: map_stream("sampled", 2, 1, tuple, tuple), DomainError, "unknown strategy 'sampled'",
+        lambda: map_stream("sampled", 2, 1, tuple, tuple, tuple), DomainError, "unknown strategy 'sampled'",
     ),
     "fusion step separating more than mprime points": (
         lambda: fusion_step(PartitionPrefix.discrete(5), {}, 2, 1, 3), DomainError, "need n0+ell+1 <= mprime, got 4 > 3",
@@ -260,6 +260,18 @@ class TestVerifyComb:
         monkeypatch.setattr(witness_module, "iter_equipartition_rgs", enumerated)
         with pytest.raises(BudgetError, match="partition space of 16 points is too large"):
             verify_comb(4, 0, 4, Sampled(1))
+
+    def test_size_wall_refuses_by_points_before_counting(self, monkeypatch):
+        assert witness_module._space_size(10) == 115_975
+        with pytest.raises(BudgetError, match="partition space of 11 points is too large"):
+            witness_module._space_size(11)  # |Q(11)| = 678,570
+
+        def counted(*args):
+            raise AssertionError("the partition space was counted")
+
+        monkeypatch.setattr(witness_module, "count_partitions", counted)
+        with pytest.raises(BudgetError, match="partition space of 10000 points is too large"):
+            witness_module._space_size(10_000)
 
     def test_tiny_exhaustive_counterexample(self):
         rep = verify_comb(2, 2, 1, Exhaustive())
