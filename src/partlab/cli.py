@@ -447,95 +447,76 @@ def _add_common(sub, *names):
         sub.add_argument("--format", choices=("json", "csv", "table"), default="json")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(*flags, **kw):
+    return flags, kw
+
+
+def _int(*flags, **kw):
+    return _arg(*flags, type=int, **kw)
+
+
+# per subcommand, in help order: its help, its function, its own arguments and then the shared ones
+_COMMANDS = {
+    "enumerate": ("list partitions or equipartitions", cmd_enumerate,
+                  [_int("--n"), _int("--k"), _int("--N")], ("m",)),
+    "count": ("count partitions without listing them", cmd_count,
+              [_int("--n"), _int("--bell"), _int("--k"), _int("--N")], ("m",)),
+    "verify-comb": ("witness campaign for the coarsening lemma", cmd_verify_comb,
+                    [_int("--jobs", default=1, help="worker processes for chunked seeded campaigns")],
+                    ("k", "m", "N", "strategy", "format")),
+    "verify-tree": ("witness campaign for the section lemma", cmd_verify_tree,
+                    [], ("k", "N", "strategy", "format")),
+    "bad-pairs": ("census of lemma violations for one map", cmd_bad_pairs,
+                  [_arg("--e-map", default="identity")], ("k", "m", "N", "format")),
+    "find-threshold": ("least N with a clean sampled campaign", cmd_find_threshold,
+                       [_int("--n-max", default=6)], ("k", "m", "strategy")),
+    "entropy-check": ("exact entropy sandwich sweep", cmd_entropy_check, [_int("--b-max", default=64)], ()),
+    "ratio": ("exact factorial-combination ratio", cmd_ratio,
+              [_int(f"--{name}", required=True) for name in ("a1", "a2", "b1", "b2")], ("N",)),
+    "fusion-demo": ("one fusion step on a random table", cmd_fusion_demo,
+                    [_int("--L", default=8), _int("--n0", default=0), _int("--ell", default=0),
+                     _int("--Mprime", default=3), _int("--seed", default=0)], ()),
+    "reduce-e1": ("grid-to-partition reduction", cmd_reduce_e1,
+                  [_int("--L", required=True),
+                   _arg("--grid", help="path to a grid file; omit for a seeded random grid"),
+                   _int("--rows", default=8), _int("--cols", default=16), _int("--seed", default=0)], ()),
+    "blowup": ("inflate one partition prefix along another", cmd_blowup,
+               [_arg("--a", required=True, help="partition text, e.g. 'L=4;0,0,1,2'"),
+                _arg("--d", required=True)], ()),
+    "encode": ("block indicator grid of a partition prefix", cmd_encode,
+               [_arg("--p", help="partition text to encode"),
+                _arg("--decode", help="grid file to decode instead")], ()),
+}
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser of argv, sys.argv[1:] when None: every subparser, or only the one argv invokes.
+
+    argv invokes a subcommand when its first word names one; then the other
+    subparsers are not built, and the metavar keeps every subcommand in the
+    top-level usage that an error prints.  Help, usage and error texts are
+    those of the full parser.
+    """
     parser = argparse.ArgumentParser(
         prog="partlab",
         description="Verification laboratory for finite partition combinatorics.",
     )
-    subs = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = subs.add_parser("enumerate", help="list partitions or equipartitions")
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--N", type=int)
-    _add_common(p, "m")
-    p.set_defaults(func=cmd_enumerate)
-
-    p = subs.add_parser("count", help="count partitions without listing them")
-    p.add_argument("--n", type=int)
-    p.add_argument("--bell", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--N", type=int)
-    _add_common(p, "m")
-    p.set_defaults(func=cmd_count)
-
-    p = subs.add_parser("verify-comb", help="witness campaign for the coarsening lemma")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes for chunked seeded campaigns")
-    _add_common(p, "k", "m", "N", "strategy", "format")
-    p.set_defaults(func=cmd_verify_comb)
-
-    p = subs.add_parser("verify-tree", help="witness campaign for the section lemma")
-    _add_common(p, "k", "N", "strategy", "format")
-    p.set_defaults(func=cmd_verify_tree)
-
-    p = subs.add_parser("bad-pairs", help="census of lemma violations for one map")
-    p.add_argument("--e-map", default="identity")
-    _add_common(p, "k", "m", "N", "format")
-    p.set_defaults(func=cmd_bad_pairs)
-
-    p = subs.add_parser("find-threshold", help="least N with a clean sampled campaign")
-    p.add_argument("--n-max", type=int, default=6)
-    _add_common(p, "k", "m", "strategy")
-    p.set_defaults(func=cmd_find_threshold)
-
-    p = subs.add_parser("entropy-check", help="exact entropy sandwich sweep")
-    p.add_argument("--b-max", type=int, default=64)
-    _add_common(p)
-    p.set_defaults(func=cmd_entropy_check)
-
-    p = subs.add_parser("ratio", help="exact factorial-combination ratio")
-    p.add_argument("--a1", type=int, required=True)
-    p.add_argument("--a2", type=int, required=True)
-    p.add_argument("--b1", type=int, required=True)
-    p.add_argument("--b2", type=int, required=True)
-    _add_common(p, "N")
-    p.set_defaults(func=cmd_ratio)
-
-    p = subs.add_parser("fusion-demo", help="one fusion step on a random table")
-    p.add_argument("--L", type=int, default=8)
-    p.add_argument("--n0", type=int, default=0)
-    p.add_argument("--ell", type=int, default=0)
-    p.add_argument("--Mprime", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    _add_common(p)
-    p.set_defaults(func=cmd_fusion_demo)
-
-    p = subs.add_parser("reduce-e1", help="grid-to-partition reduction")
-    p.add_argument("--L", type=int, required=True)
-    p.add_argument("--grid", help="path to a grid file; omit for a seeded random grid")
-    p.add_argument("--rows", type=int, default=8)
-    p.add_argument("--cols", type=int, default=16)
-    p.add_argument("--seed", type=int, default=0)
-    _add_common(p)
-    p.set_defaults(func=cmd_reduce_e1)
-
-    p = subs.add_parser("blowup", help="inflate one partition prefix along another")
-    p.add_argument("--a", required=True, help="partition text, e.g. 'L=4;0,0,1,2'")
-    p.add_argument("--d", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_blowup)
-
-    p = subs.add_parser("encode", help="block indicator grid of a partition prefix")
-    p.add_argument("--p", help="partition text to encode")
-    p.add_argument("--decode", help="grid file to decode instead")
-    _add_common(p)
-    p.set_defaults(func=cmd_encode)
-
+    first = (sys.argv[1:] if argv is None else argv)[:1]
+    names = first if first and first[0] in _COMMANDS else list(_COMMANDS)
+    metavar = "{" + ",".join(_COMMANDS) + "}" if len(names) < len(_COMMANDS) else None
+    subs = parser.add_subparsers(dest="subcommand", required=True, metavar=metavar)
+    for name in names:
+        text, func, own, shared = _COMMANDS[name]
+        p = subs.add_parser(name, help=text)
+        for flags, kw in own:
+            p.add_argument(*flags, **kw)
+        _add_common(p, *shared)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = build_parser(argv)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

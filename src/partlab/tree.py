@@ -28,7 +28,16 @@ from typing import Iterator, Mapping, Optional
 from .errors import BudgetError, CheckError, DomainError
 from .partitions import _value_class
 from .reports import WitnessReport
-from .witness import Strategy, _adversarial_values, _kill_masks, _LemmaContext, _witness, map_stream
+from .witness import (
+    Adversarial,
+    Strategy,
+    _adversarial_values,
+    _greedy_budget,
+    _kill_masks,
+    _LemmaContext,
+    _witness,
+    map_stream,
+)
 
 __all__ = [
     "BlockPartitionKN",
@@ -128,6 +137,12 @@ def _subset(v: int, t: int) -> bool:
 _SECTION_CAP = 10**9
 
 
+def _section_wall(P: BlockPartitionKN) -> None:
+    """BudgetError when P's context would hold more than _SECTION_CAP mask bits."""
+    if P.section_count() * P.complete_section_count() > _SECTION_CAP:
+        raise BudgetError(f"section context of {len(P.ground)} points in {P.k} blocks is too large to tabulate")
+
+
 @lru_cache(maxsize=16)
 def _section_context(P: BlockPartitionKN):
     """The kernel's tables for P, its sections in enumerate_sections order, and its mask function.
@@ -137,8 +152,7 @@ def _section_context(P: BlockPartitionKN):
     mask of those that contain F.  Masks past _SECTION_CAP bits are a
     BudgetError, raised before any section is made.
     """
-    if P.section_count() * P.complete_section_count() > _SECTION_CAP:
-        raise BudgetError(f"section context of {len(P.ground)} points in {P.k} blocks is too large to tabulate")
+    _section_wall(P)
     mask = _masks(P)
     sections = tuple(enumerate_sections(P))
     complete = tuple(F for F in sections if len(F) == P.k)
@@ -212,6 +226,9 @@ def verify_tree(k: int, N: int, strategy: Strategy) -> WitnessReport:
     """Campaign against the equal-block (k, N)-partition; aggregate report."""
     start = time.perf_counter()
     P = equal_block_partition(k, N)
+    if isinstance(strategy, Adversarial) and strategy.count:  # the context's wall, then the budget, before it is built
+        _section_wall(P)
+        _greedy_budget(P.complete_section_count(), 1 << P.k)  # a complete section has 2^k subsets
     ctx, sections, mask = _section_context(P)
     ct = P.complete_section_count()
     bound = section_bound(k, N)

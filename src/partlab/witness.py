@@ -35,9 +35,10 @@ from __future__ import annotations
 import json
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, product
+from itertools import accumulate, chain, product
 from operator import or_
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Optional, Union
@@ -51,6 +52,7 @@ from .partitions import (
     _rgs_unrank,
     _trusted,
     _value_class,
+    count_equipartitions,
     count_partitions,
     iter_equipartition_rgs,
     iter_rgs,
@@ -282,12 +284,18 @@ def _partition_context(candidates: tuple[tuple[int, ...], ...]) -> _LemmaContext
     return _LemmaContext(space, candidates, down, leq)
 
 
-@lru_cache(maxsize=16)
-def _comb_context(k: int, m: int, N: int) -> _LemmaContext:
-    """The comb campaigns' candidates: equipartitions of kN points separating the first m."""
+def _comb_candidates(k: int, m: int, N: int) -> Iterator[tuple[int, ...]]:
+    """The comb campaigns' candidates, equipartitions of kN points separating the first m, as a lazy
+    stream: k, N and m are checked and Q(kN) is within the space wall before any candidate is made."""
     candidates = iter_equipartition_rgs(k, N, m)  # checks k, N and m; enumerates nothing yet
     _space_size(k * N)  # bounds the context before any candidate is made; no table over Q(kN) is built
-    return _partition_context(tuple(candidates))
+    return candidates
+
+
+@lru_cache(maxsize=16)
+def _comb_context(k: int, m: int, N: int) -> _LemmaContext:
+    """The comb campaigns' lemma context."""
+    return _partition_context(tuple(_comb_candidates(k, m, N)))
 
 
 @lru_cache(maxsize=16)
@@ -311,8 +319,9 @@ def _kill_masks(ctx: _LemmaContext, values) -> dict[int, int]:
         vi = values[ti]
         mask = above_t & below.get(vi, 0)
         # e(t) <= t gives below[e(t)] >= below[t] by transitivity, so any
-        # other mask already means e(t) !<= t and the order need not be asked
-        if mask and (mask != above_t or not leq(vi, ti)):
+        # other mask already means e(t) !<= t and the order need not be asked;
+        # nor need it when e(t) = t, the value of every argument an adversary leaves
+        if mask and (mask != above_t or vi != ti and not leq(vi, ti)):
             kills[ti] = mask
     return kills
 
@@ -399,13 +408,28 @@ def witness_is_valid(e: EMapTable, s: SetPartition, m: int) -> bool:
     return all(s.rgs[i] == i for i in range(min(m, s.n))) and _valid(e.values, s.rgs)
 
 
+@lru_cache(maxsize=1024)
+def _down_scan(s: tuple[int, ...]) -> tuple[Mapping[int, tuple[int, ...]], dict[tuple[int, int], bool]]:
+    """_down_set(s), and _valid's memo of rgs_leq inside it, keyed by (v key, t key).
+
+    The memo's keys are ranks in s's own Q(n), so ranks of different Q(n)
+    never share an entry, and it is filled by rgs_leq alone, never by a
+    context's order.  One cache holds both, so a scan looks s up once.
+    """
+    return _down_set(s), {}
+
+
 def _valid(values, rgs: tuple[int, ...]) -> bool:
     """No bad pair below rgs: the down-set scan of witness_is_valid, without its m-prefix rule."""
-    down = _down_set(rgs)
+    down, order = _down_scan(rgs)
     for key, t in down.items():
-        v = down.get(values[key])
-        if v is not None and not rgs_leq(v, t):
-            return False
+        vi = values[key]
+        if vi != key and vi in down:  # t <= t, and a value outside the down-set is not <= rgs
+            got = order.get((vi, key))
+            if got is None:
+                got = order[vi, key] = rgs_leq(down[vi], t)
+            if not got:
+                return False
     return True
 
 
@@ -490,27 +514,73 @@ def _sample_values(
     return values
 
 
+# score additions of _greedy_ties.  On one core of a 2-core Xeon, the 1.7e7 of (6,4) sections
+# take about 2 s, and as many take the one-candidate (8,0,1) comb about 13 s, since each of
+# them also asks rgs_leq; the cap admits (6,5) sections (6.4e7) and refuses (9,0,1) (4.5e8)
+_GREEDY_CAP = 10**8
+
+
+def _greedy_budget(candidates: int, down: int) -> None:
+    """BudgetError when _greedy_ties would pass _GREEDY_CAP score additions.
+
+    A family of `candidates` whose down-sets each hold `down` keys costs
+    candidates * down**2; callers ask before the context is built.
+    """
+    cost = candidates * down**2
+    if cost > _GREEDY_CAP:
+        raise BudgetError(f"greedy adversary precompute of {cost} score additions exceeds the cap of {_GREEDY_CAP}")
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of mask's set bits, in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @lru_cache(maxsize=16)
 def _greedy_ties(ctx: _LemmaContext) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """(t, its maximally invalidating values in ascending key order) for each t that has any."""
+    """(t, its maximally invalidating values in ascending key order) for each t that has any.
+
+    The score of a value v for t is |below[t] & below[v]|, the number of
+    candidates above both, so t's scores come from the down-sets of the
+    candidates above t alone: each adds 1 to every v below it, the sum over
+    candidates of |down(s)|^2 additions in all, which _greedy_budget bounds.
+    v <= t gives below[v] >= below[t] by transitivity, so only a v of full
+    score |below[t]| can have e(t) = v <= t, which never invalidates, and
+    the order is asked of those alone.  t's ties are the values of top
+    score among the rest; only the down-sets' keys get a score, so each
+    value is relevant, and a t whose every scored value is <= t has none.
+    """
+    downs: list[list[int]] = [[] for _ in ctx.candidates]  # per candidate, the keys below it, ascending
+    for vi, below_v in ctx.below.items():
+        for ci in _bits(below_v):
+            downs[ci].append(vi)
     leq = ctx.leq
     table = []
     for ti, above_t in ctx.below.items():
-        ties = []
-        top = 0
-        # score > 0 needs v <= some candidate, so v is relevant
-        for vi, below_v in ctx.below.items():
-            score = (above_t & below_v).bit_count()
-            if score == 0 or score < top or leq(vi, ti):
-                continue  # not maximal, or e(t) <= t, which never invalidates
-            if score > top:
-                top = score
-                ties = [vi]
-            else:
-                ties.append(vi)
-        if ties:
-            table.append((ti, tuple(ties)))
+        above = [downs[ci] for ci in _bits(above_t)]
+        scores = Counter(chain.from_iterable(above))
+        full = len(above)
+        ties = [vi for vi, score in scores.items() if score == full and vi != ti and not leq(vi, ti)]
+        if not ties:
+            lower = set(scores.values())
+            lower.discard(full)
+            if not lower:
+                continue
+            top = max(lower)
+            ties = [vi for vi, score in scores.items() if score == top]
+        table.append((ti, tuple(sorted(ties))))
     return tuple(table)
+
+
+@lru_cache(maxsize=16)
+def _greedy_draws(ctx: _LemmaContext) -> tuple[dict[int, int], tuple[tuple[int, tuple[int, ...], int, int], ...]]:
+    """The adversary's per-context tables: the identity on the relevant keys, which every map
+    copies and none may change, and per tie of _greedy_ties (t, ties, tie count, its bit length)."""
+    draws = tuple((ti, ties, len(ties), len(ties).bit_length()) for ti, ties in _greedy_ties(ctx))
+    return dict(zip(ctx.below, ctx.below)), draws
 
 
 def _adversarial_values(
@@ -525,18 +595,19 @@ def _adversarial_values(
     tie count's bit length until the draw is below the count, so a tie
     of one value still consumes its draw.  A relevant argument without a
     tie keeps e(t) = t; every candidate is one, since no value
-    invalidates it.  Results are a lower bound on adversarial difficulty.
+    invalidates it.  Every map starts from a copy of _greedy_draws' identity
+    and reads its ties, counts and bit lengths from there, made once per
+    context.  Results are a lower bound on adversarial difficulty.
     """
-    values = dict(zip(ctx.below, ctx.below))
+    identity, draws = _greedy_draws(ctx)
+    values = identity.copy()
     if map_index == 0:
-        for ti, ties in _greedy_ties(ctx):
+        for ti, ties, _, _ in draws:
             values[ti] = ties[0]
         return values
     rng.seed((seed << 32) ^ (map_index * 0x85EBCA6B + 3))
     getrandbits = rng.getrandbits
-    for ti, ties in _greedy_ties(ctx):
-        count = len(ties)
-        bits = count.bit_length()
+    for ti, ties, count, bits in draws:
         r = getrandbits(bits)
         while r >= count:
             r = getrandbits(bits)
@@ -576,6 +647,9 @@ def verify_comb(k: int, m: int, N: int, strategy: Strategy) -> WitnessReport:
     key, made a table by _campaign_table, which range-checks those values.
     """
     start = time.perf_counter()
+    if isinstance(strategy, Adversarial) and strategy.count:  # after the walls of the context, before it is built
+        _comb_candidates(k, m, N)
+        _greedy_budget(count_equipartitions(k, N, m), count_partitions(k))
     ctx = _comb_context(k, m, N)
     n_cands = len(ctx.candidates)
 

@@ -942,6 +942,36 @@ class TestEmit:
         proc.stderr.close()
 
 
+# help, usage and error texts of the parser that builds every subparser, captured with Python 3.11 at 80 columns
+CLI_TEXTS = json.loads((Path(__file__).parent / "data" / "cli_texts.json").read_text())
+
+
+def parser_texts(parse, argv, monkeypatch, capsys):
+    """(exit code, stdout, stderr) of parse(argv), a parse that ends the run by SystemExit."""
+    monkeypatch.setenv("COLUMNS", str(CLI_TEXTS["columns"]))
+    with pytest.raises(SystemExit) as info:
+        parse(argv)
+    out, err = capsys.readouterr()
+    return info.value.code, out, err
+
+
+@pytest.mark.parametrize("case", CLI_TEXTS["cases"], ids=lambda case: " ".join(case["argv"]) or "no arguments")
+class TestParserTexts:
+    """The parser builds only the subparser argv invokes; what it prints is the full parser's."""
+
+    def test_texts_are_the_full_parsers(self, case, monkeypatch, capsys):
+        argv = case["argv"]
+        got = parser_texts(main, argv, monkeypatch, capsys)
+        full = parser_texts(lambda argv: cli.build_parser([]).parse_args(argv), argv, monkeypatch, capsys)
+        assert got == full
+
+    def test_texts_are_pinned(self, case, monkeypatch, capsys):
+        if sys.version_info[:2] != tuple(map(int, CLI_TEXTS["python"].split("."))):
+            pytest.skip(f"argparse's texts were captured with Python {CLI_TEXTS['python']}")
+        got = parser_texts(main, case["argv"], monkeypatch, capsys)
+        assert got == (case["code"], case["stdout"], case["stderr"])
+
+
 class TestConsoleScript:
     def test_installed_entry_point(self):
         proc = subprocess.run(

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from partlab import tree as tree_module
+from partlab import witness as witness_module
 from partlab.errors import BudgetError, CheckError, DomainError
 from partlab.tree import (
     BlockPartitionKN,
@@ -256,6 +257,17 @@ class TestVerifyTree:
         monkeypatch.setattr(tree_module, "enumerate_sections", enumerated)
         with pytest.raises(BudgetError, match="section context of 49 points in 7 blocks is too large"):
             verify_tree(7, 7, Sampled(1))
+
+    def test_greedy_precompute_past_the_cap_is_refused_before_the_context_is_built(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the context or the precompute was built")
+
+        monkeypatch.setattr(tree_module, "_LemmaContext", forbidden)
+        monkeypatch.setattr(witness_module, "_greedy_ties", forbidden)
+        # 2^9 complete sections of 2^9 subsets each: (2^9)(2^9)^2 = 2^27 score additions
+        with pytest.raises(BudgetError, match="precompute of 134217728 score additions exceeds the cap"):
+            verify_tree(9, 2, Adversarial(1))
+        assert 5**6 * 4**6 <= witness_module._GREEDY_CAP  # (6,5), the largest context the size wall admits
 
     def test_size_wall_admits_six_by_five_and_refuses_six_by_six(self):
         def mask_bits(k, N):

@@ -22,6 +22,7 @@ from partlab.prefixes import (
     induced_coarsening_h,
     mu_sequence,
 )
+from partlab.tree import _masks, _section_context, enumerate_sections, equal_block_partition
 from partlab.witness import (
     Adversarial,
     EMapTable,
@@ -40,6 +41,7 @@ from partlab.witness import (
     _bad_count,
     _census,
     _comb_context,
+    _down_scan,
     _down_set,
     _fusion_context,
     _greedy_ties,
@@ -513,6 +515,27 @@ def oracle_greedy(ctx):
     return tuple(table)
 
 
+def oracle_section_greedy(P):
+    """The section family's greedy ties by a scan of every pair of sections, as sets, keyed by point mask."""
+    mask = _masks(P)
+    sections = sorted(enumerate_sections(P), key=mask)
+    complete = [E for E in sections if len(E) == P.k]
+    table = []
+    for t in sections:
+        ties, top = [], 0
+        for v in sections:
+            if v <= t:
+                continue
+            score = sum(1 for E in complete if t <= E and v <= E)
+            if score > top:
+                top, ties = score, [mask(v)]
+            elif score == top and score > 0:
+                ties.append(mask(v))
+        if ties:
+            table.append((mask(t), tuple(ties)))
+    return tuple(table)
+
+
 KERNEL_CONFIGS = [(2, 2, 2), (3, 0, 2), (3, 2, 2), (2, 1, 3)]
 
 
@@ -548,6 +571,19 @@ class TestLemmaKernel:
     def test_greedy_scores_agree_with_nested_loops(self, kmn):
         ctx = context_of(kmn)
         assert _greedy_ties(ctx) == oracle_greedy(ctx)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_greedy_scores_of_random_candidate_sets_agree_with_nested_loops(self, seed):
+        # a random family of Q(4) or Q(5), of one to eight candidates in random order
+        rng = random.Random(seed)
+        space = partition_space(rng.choice((4, 5)))
+        ctx = _partition_context(tuple(rng.sample(space, rng.randint(1, 8))))
+        assert _greedy_ties(ctx) == oracle_greedy(ctx)
+
+    @pytest.mark.parametrize("k, N", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_section_greedy_scores_agree_with_nested_loops(self, k, N):
+        P = equal_block_partition(k, N)
+        assert _greedy_ties(_section_context(P)[0]) == oracle_section_greedy(P)
 
     @pytest.mark.parametrize("kmn", KERNEL_CONFIGS + FUSION_CONFIGS)
     def test_below_masks_match_coarsening_tables(self, kmn):
@@ -626,6 +662,19 @@ class TestAdversary:
         for seed in (0, 7, 2**40):
             for i in range(51):
                 assert _adversarial_values(ctx, rng, seed, i) == oracle_adversarial_values(ctx, seed, i)
+
+    def test_precompute_past_the_cap_is_refused_before_the_context_is_built(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the context or the precompute was built")
+
+        # the budget charges the sum over candidates of |down(s)|^2, C Bell(k)^2 for the comb family
+        ctx = _comb_context(3, 2, 2)
+        assert sum(len(_down_set(s)) ** 2 for s in ctx.candidates) == len(ctx.candidates) * 5**2
+        monkeypatch.setattr(witness_module, "_partition_context", forbidden)
+        monkeypatch.setattr(witness_module, "_greedy_ties", forbidden)
+        # one candidate, the discrete partition of 10 points, whose down-set is all 115975 of Q(10)
+        with pytest.raises(BudgetError, match="precompute of 13450200625 score additions exceeds the cap"):
+            verify_comb(10, 0, 1, Adversarial(1))
 
     def test_one_value_tie_comes_before_larger_ties(self):
         # so a one-value tie that skipped its draw would shift every later draw
@@ -758,6 +807,22 @@ class TestWitnessIsValid:
                     verdicts.add(verdict)
         assert verdicts == {True, False}
 
+    def test_scans_over_q6_and_q8_that_ask_one_key_pair_keep_the_oracle_answer(self):
+        # the discrete candidate's down-set is all of Q(n), so with e(b) = a each scan asks the
+        # key pair (a, b) of _valid's order memo, in Q(6) and in Q(8), in either order; rank r of
+        # Q(6) names in Q(8) the same partition with two points put in its first block, so the
+        # answers agree, and each scan must still give the answer of a fresh rgs_leq scan
+        q6, q8 = partition_space(6), partition_space(8)
+        for a, b in ((0, 5), (5, 0), (17, 150), (150, 17)):
+            for order in ((6, 8), (8, 6)):
+                _down_set.cache_clear()
+                _down_scan.cache_clear()
+                for n in order:
+                    space = {6: q6, 8: q8}[n]
+                    s, e = tuple(range(n)), EMapTable.from_assignments(n, {space[b]: space[a]})
+                    assert witness_is_valid(e, SetPartition(s), 0) == oracle_is_valid(e, s, 0)
+                    assert _down_scan(s)[1][a, b] == rgs_leq(space[a], space[b])  # the pair was asked
+
     def test_rejects_map_built_to_invalidate_s(self):
         k, m, N = 3, 2, 2
         ctx = _comb_context(k, m, N)
@@ -788,6 +853,7 @@ class TestWitnessIsValid:
         ):
             monkeypatch.setattr(witness_module, name, forbidden)
         _down_set.cache_clear()
+        _down_scan.cache_clear()
         s = SetPartition((0, 1, 2, 0, 1, 2))
         assert witness_is_valid(EMapTable.identity(6), s, 2)
 
